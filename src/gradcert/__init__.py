@@ -14,11 +14,12 @@ from .estimator import (SamplePlan, estimate_lambda_tilde, estimate_nu_tilde,
                         estimate_nu_trajectory, estimate_omega_lipschitz,
                         estimated_bound_data)
 from .majorant import (BoundData, HolderModulus, LipschitzModulus,
-                       MajorantCertificate, TabulatedModulus,
+                       MajorantCertificate, RelaxationMap, TabulatedModulus,
                        altman_validity_threshold, aposteriori_bound,
-                       apriori_bound, certify, integrated_modulus,
-                       majorant_sum, mu_altman_family, mu_min_family,
-                       rate_bounds, relax, relax_iterate, smallest_fixed_point)
+                       apriori_bound, apriori_bounds, certify,
+                       integrated_modulus, majorant_sum, mu_altman_family,
+                       mu_min_family, rate_bounds, relax, relax_iterate,
+                       smallest_fixed_point)
 from .methods import (ALL_FAMILIES, ALTMAN_MIN_ERROR, ALTMAN_STEEPEST_DESCENT,
                       BANACH_ALTMAN_STEEPEST_DESCENT, BANACH_FAMILIES,
                       BANACH_MIN_RESIDUAL, BANACH_STEEPEST_DESCENT,

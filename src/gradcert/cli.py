@@ -231,11 +231,11 @@ def _jsonable(obj):
 
 
 def _cert_dict(cert: majorant.MajorantCertificate | None):
+    """The certificate's reported fields; its relaxation map is not reported."""
     if cert is None:
         return None
-    d = _jsonable(cert)
-    # dataclass asdict on nested numpy handled above; phi_star None stays null
-    return d
+    return {f.name: _jsonable(getattr(cert, f.name))
+            for f in dataclasses.fields(cert) if f.name != "relaxation"}
 
 
 def _write_report(report: dict, rc: dict, fixed_clock: bool) -> None:
@@ -277,6 +277,7 @@ def _trace_summary(trace: methods.IterationTrace) -> dict:
         "termination": trace.termination,
         "final_res_norm": trace.final.res_norm,
         "final_dist_from_center": trace.final.dist_from_center,
+        "reason": trace.reason,
     }
 
 
@@ -349,8 +350,8 @@ def cmd_certify(rc: dict, fixed_clock: bool) -> int:
     apriori = None
     if cert.feasible:
         n_table = min(int(rc["run"]["max_iter"]), 25)
-        apriori = [{"n": n, "bound": majorant.apriori_bound(cert, bounds, n)}
-                   for n in range(n_table + 1)]
+        apriori = [{"n": n, "bound": bound} for n, bound in
+                   enumerate(majorant.apriori_bounds(cert, bounds, n_table))]
     status = EXIT_OK if cert.feasible else EXIT_NOT_CONVERGED
     _write_report({
         "command": "certify",

@@ -15,6 +15,11 @@ turn per-step contraction into total-displacement and error bounds.  A
 run from initial residual norm ``a`` is certified at radius r when
 ``lam(r) * theta(r) * w_sigma(r, a) <= r``.
 
+``RelaxationMap`` holds d_sigma at one radius.  Its fixed point is in
+closed form for Lipschitz and Holder moduli, and its series value is a
+rigorous upper bound on w (exactly ``phi / (1 - mu)`` when omega = 0), so
+a certificate never rests on a sum that falls short of the series.
+
 ``sigma`` is the quadratic-inequality constant of the ambient space
 (1 in the Euclidean case, p - 1 for l_p).
 """
@@ -22,7 +27,8 @@ run from initial residual norm ``a`` is certified at radius r when
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -40,8 +46,14 @@ _ROOT_ATOL = 1e-12
 class LipschitzModulus:
     """omega(r, t) = L(r) * t. ``L`` may be a constant or a function of r."""
 
+    alpha = 1.0
+
     def __init__(self, L: float | Callable[[float], float]):
         self._L = L if callable(L) else (lambda r, _v=float(L): _v)
+
+    def constant(self, r: float) -> float:
+        """L(r)."""
+        return self._L(r)
 
     def value(self, r: float, t):
         return self._L(r) * t
@@ -61,6 +73,10 @@ class HolderModulus:
             raise ArgumentError("Holder exponent must lie in (0, 1]")
         self._L = L if callable(L) else (lambda r, _v=float(L): _v)
         self.alpha = float(alpha)
+
+    def constant(self, r: float) -> float:
+        """L(r)."""
+        return self._L(r)
 
     def value(self, r: float, t):
         return self._L(r) * t ** self.alpha
@@ -271,126 +287,154 @@ def _check_radius(bounds: BoundData, r: float) -> None:
         raise ArgumentError(f"radius r={r} outside [0, R={bounds.R}]")
 
 
-def _relax_closure(bounds: BoundData, sigma: float, r: float):
-    """Specialize d_sigma(r, .) to a fast scalar/array callable."""
-    if sigma < 1.0:
-        raise ArgumentError(f"sigma must be >= 1, got {sigma}")
-    _check_radius(bounds, r)
-    mu = bounds.mu_at(r, sigma)
-    lt = bounds.lam_at(r) * bounds.theta_at(r)
-    omega = bounds.omega
+class RelaxationMap:
+    """The relaxation map d_sigma(r, .) at one radius, with its fixed point and series.
 
-    def d(phi):
-        return mu * phi + sigma * omega.integral(r, lt * phi)
+    The radius and sigma are checked, and mu(r) and ``lt = lam(r)*theta(r)``
+    evaluated, once when the map is built; every later evaluation of the
+    map, its iterates, its fixed point or its series reuses them.  The map
+    is ``linear`` (d(phi) = mu*phi) when omega(r, .) = 0 or lt = 0.
+    """
 
-    return d, mu, lt
+    def __init__(self, bounds: BoundData, sigma: float, r: float):
+        if sigma < 1.0:
+            raise ArgumentError(f"sigma must be >= 1, got {sigma}")
+        _check_radius(bounds, r)
+        self.bounds = bounds
+        self.sigma = sigma
+        self.r = r
+        self.mu = bounds.mu_at(r, sigma)
+        self.lt = bounds.lam_at(r) * bounds.theta_at(r)
+        self.omega = bounds.omega
+        self.linear = self.lt == 0.0 or self.omega.is_zero(r)
+
+    def __call__(self, phi):
+        """d_sigma(r, phi) for a scalar or an array of phi >= 0."""
+        if self.linear:
+            return self.mu * phi  # the integral term is exactly 0 here
+        return self.mu * phi + self.sigma * self.omega.integral(self.r, self.lt * phi)
+
+    def iterate(self, phi: float, n: int) -> float:
+        """n-fold composition of the map; n = 0 returns phi."""
+        if n < 0:
+            raise ArgumentError("n must be >= 0")
+        if phi < 0:
+            raise ArgumentError("phi must be nonnegative")
+        v = float(phi)
+        for _ in range(n):
+            v = float(self(v))
+        return v
+
+    @cached_property
+    def phi_star(self) -> float | None:
+        """Smallest phi > 0 with phi = d_sigma(r, phi), or None if there is none.
+
+        Zero is always a fixed point; a positive one can only separate from
+        it when mu(r) < 1, so mu >= 1 raises AssumptionError.  A linear map
+        has none.  For a Lipschitz or Holder modulus, omega(r, t) = L t^alpha,
+        dividing phi = mu phi + sigma L (lt phi)^(1+alpha) / (1+alpha) by phi
+        gives the root in closed form; a tabulated modulus is scanned.
+        """
+        if self.mu >= 1.0:
+            raise AssumptionError(
+                f"relaxation slope mu({self.r}) = {self.mu:.6g} >= 1: no certificate possible")
+        if self.linear:
+            return None
+        om = self.omega
+        if isinstance(om, TabulatedModulus):
+            return self._scan_fixed_point()
+        a = om.alpha
+        ps = ((1.0 - self.mu) * (1.0 + a)
+              / (self.sigma * om.constant(self.r) * self.lt ** (1.0 + a))) ** (1.0 / a)
+        return ps if math.isfinite(ps) else None
+
+    def _scan_fixed_point(self) -> float | None:
+        """Scan a geometric grid for a sign change of d - id, then bisect to 1e-12."""
+        phi_max = 10.0 * max(self.bounds.R, self.bounds.R / self.lt)
+        lo_end = phi_max * 1e-18
+        for _ in range(8):
+            grid = np.geomspace(lo_end, phi_max, 2048)
+            idx = np.flatnonzero(np.asarray(self(grid)) - grid >= 0.0)
+            if len(idx) > 0:
+                break
+            phi_max *= 64.0  # root may lie beyond the scanned range; widen and retry
+        else:
+            return None
+        i = int(idx[0])
+        lo, hi = (grid[i] * 1e-6, grid[i]) if i == 0 else (grid[i - 1], grid[i])
+        for _ in range(256):
+            if hi - lo <= _ROOT_ATOL:
+                break
+            mid = 0.5 * (lo + hi)
+            if float(np.asarray(self(mid))) - mid >= 0.0:
+                hi = mid
+            else:
+                lo = mid
+        return 0.5 * (lo + hi)
+
+    def sum(self, phi: float) -> float:
+        """w_sigma(r, phi): an upper bound on the sum of all iterates starting at phi.
+
+        A linear map gives phi / (1 - mu) exactly.  Otherwise d is convex
+        with d(0) = 0, so the term ratio q = d(t)/t never increases along
+        the iterates and never falls below mu: after the partial sum, the
+        rest of the series lies between next/(1 - mu) and next/(1 - q).
+        Summation stops once these two tails agree to 1e-12 of the partial
+        sum, and the upper tail is added, so the result is never below the
+        series.  phi at or above the smallest positive fixed point, where
+        the series diverges, raises DivergenceError, as does a 1e6-term cap.
+        """
+        if phi < 0:
+            raise ArgumentError("phi must be nonnegative")
+        if phi == 0.0:
+            return 0.0
+        if not math.isfinite(phi):
+            raise DivergenceError(f"majorant series diverges: phi={phi}")
+        ps = self.phi_star
+        if self.linear:
+            return phi / (1.0 - self.mu)
+        if ps is not None and phi >= ps:
+            raise DivergenceError(
+                f"majorant series diverges: phi={phi:.6g} >= fixed point {ps:.6g}")
+        mu = self.mu
+        total = 0.0
+        term = float(phi)
+        for _ in range(_SERIES_CAP):
+            total += term
+            nxt = float(self(term))
+            if nxt <= 0.0:
+                return total
+            q = nxt / term
+            if q >= 1.0:
+                # a non-contracting term means phi started at or above the
+                # positive fixed point
+                raise DivergenceError(
+                    f"majorant series diverges: term {term:.6g} did not contract")
+            upper = nxt / (1.0 - q)
+            if upper - nxt / (1.0 - mu) <= _SERIES_RTOL * total:
+                return total + upper
+            term = nxt
+        raise DivergenceError("majorant series did not stabilize within the term cap")
 
 
 def relax(bounds: BoundData, sigma: float, r: float, phi: float) -> float:
     """The relaxation map d_sigma(r, phi)."""
-    if phi < 0:
-        raise ArgumentError("phi must be nonnegative")
-    d, _, _ = _relax_closure(bounds, sigma, r)
-    return float(np.asarray(d(phi)))
+    return RelaxationMap(bounds, sigma, r).iterate(phi, 1)
 
 
 def relax_iterate(bounds: BoundData, sigma: float, r: float, phi: float, n: int) -> float:
     """n-fold composition of the relaxation map; n = 0 returns phi."""
-    if n < 0:
-        raise ArgumentError("n must be >= 0")
-    if phi < 0:
-        raise ArgumentError("phi must be nonnegative")
-    d, _, _ = _relax_closure(bounds, sigma, r)
-    v = float(phi)
-    for _ in range(n):
-        v = float(np.asarray(d(v)))
-    return v
+    return RelaxationMap(bounds, sigma, r).iterate(phi, n)
 
 
-def smallest_fixed_point(
-    bounds: BoundData, sigma: float, r: float, phi_max: float | None = None
-) -> float | None:
-    """Smallest phi > 0 with phi = d_sigma(r, phi), or None if there is none.
-
-    Scans a geometric grid on (0, phi_max] for a sign change of d - id and
-    bisects to absolute tolerance 1e-12.  Zero is always a fixed point; a
-    positive one can only separate from it when mu(r) < 1, so mu >= 1 is
-    rejected outright.
-    """
-    d, mu, lt = _relax_closure(bounds, sigma, r)
-    if mu >= 1.0:
-        raise AssumptionError(
-            f"relaxation slope mu({r}) = {mu:.6g} >= 1: no certificate possible")
-    if lt == 0.0 or bounds.omega.is_zero(r):
-        return None
-    expand = phi_max is None
-    if phi_max is None:
-        phi_max = 10.0 * max(bounds.R, bounds.R / lt)
-    lo_end = phi_max * 1e-18
-    lo = hi = None
-    for _ in range(8):
-        grid = np.geomspace(lo_end, phi_max, 2048)
-        g = np.asarray(d(grid)) - grid
-        idx = np.flatnonzero(g >= 0.0)
-        if len(idx) > 0:
-            i = int(idx[0])
-            lo, hi = (grid[i] * 1e-6, grid[i]) if i == 0 else (grid[i - 1], grid[i])
-            break
-        if not expand:
-            return None
-        phi_max *= 64.0  # root may lie beyond the scanned range; widen and retry
-    if lo is None:
-        return None
-    for _ in range(256):
-        if hi - lo <= _ROOT_ATOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if float(np.asarray(d(mid))) - mid >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+def smallest_fixed_point(bounds: BoundData, sigma: float, r: float) -> float | None:
+    """Smallest phi > 0 with phi = d_sigma(r, phi), or None; see ``RelaxationMap.phi_star``."""
+    return RelaxationMap(bounds, sigma, r).phi_star
 
 
 def majorant_sum(bounds: BoundData, sigma: float, r: float, phi: float) -> float:
-    """w_sigma(r, phi): the sum of all relaxation iterates starting at phi.
-
-    Converges exactly for phi below the smallest positive fixed point.
-    Summation stops once the term ratio has stayed below 1 for five terms
-    and the geometric tail bound drops below 1e-12 of the partial sum; the
-    tail estimate itself is not added, so the result slightly underestimates
-    the series.  A 1e6-term cap turns slow divergence into an error.
-    """
-    if phi < 0:
-        raise ArgumentError("phi must be nonnegative")
-    if phi == 0.0:
-        return 0.0
-    ps = smallest_fixed_point(bounds, sigma, r)
-    if ps is not None and phi >= ps:
-        raise DivergenceError(
-            f"majorant series diverges: phi={phi:.6g} >= fixed point {ps:.6g}")
-    d, _, _ = _relax_closure(bounds, sigma, r)
-    total = 0.0
-    term = float(phi)
-    consec = 0
-    for _ in range(_SERIES_CAP):
-        total += term
-        nxt = float(np.asarray(d(term)))
-        if nxt <= 0.0:
-            return total
-        q = nxt / term
-        if q >= 1.0:
-            # d is convex with d(0)=0 and slope < 1, so a non-contracting
-            # term means phi started at or above the positive fixed point
-            raise DivergenceError(
-                f"majorant series diverges: term {term:.6g} did not contract")
-        consec += 1
-        if consec >= 5 and nxt / (1.0 - q) < _SERIES_RTOL * total:
-            return total
-        term = nxt
-        if not np.isfinite(total):
-            break
-    raise DivergenceError("majorant series did not stabilize within the term cap")
+    """w_sigma(r, phi), an upper bound on the series; see ``RelaxationMap.sum``."""
+    return RelaxationMap(bounds, sigma, r).sum(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +449,8 @@ class MajorantCertificate:
     of the iteration, and validity of the error bounds.  When no radius
     works the certificate records diagnostics at a fallback radius; the
     a posteriori map may still be evaluated there as a best-effort bound.
+    ``relaxation`` is the relaxation map at r that the bounds below reuse;
+    it is not part of the report.
     """
 
     r: float
@@ -417,38 +463,48 @@ class MajorantCertificate:
     velo_bound: float
     linear_rate: float
     diagnostics: str = ""
+    relaxation: RelaxationMap | None = field(default=None, repr=False, compare=False)
+
+    def relaxation_for(self, bounds: BoundData) -> RelaxationMap:
+        """The relaxation map of ``bounds`` at (r, sigma): the certificate's own if built from them."""
+        rmap = self.relaxation
+        if (rmap is None or rmap.bounds is not bounds or rmap.r != self.r
+                or rmap.sigma != self.sigma):
+            rmap = RelaxationMap(bounds, self.sigma, self.r)
+        return rmap
 
 
 def _certificate_at(bounds: BoundData, sigma: float, a: float, r: float,
                     feasible: bool, diagnostics: str = "") -> MajorantCertificate:
+    rmap = None
     phi_star = None
     w = math.inf
     lt = math.nan
     mu = math.nan
     velo = math.nan
     try:
-        lt = bounds.lam_at(r) * bounds.theta_at(r)
-        mu = bounds.mu_at(r, sigma)
-        velo = relax(bounds, sigma, r, a) / a
-        phi_star = smallest_fixed_point(bounds, sigma, r)
-        w = majorant_sum(bounds, sigma, r, a)
+        rmap = RelaxationMap(bounds, sigma, r)
+        lt, mu = rmap.lt, rmap.mu
+        velo = float(rmap(a)) / a
+        phi_star = rmap.phi_star
+        w = rmap.sum(a)
     except (AssumptionError, DivergenceError) as exc:
         diagnostics = diagnostics or str(exc)
     cond = lt * w if np.isfinite(w) else math.inf
     return MajorantCertificate(
         r=r, a=a, sigma=sigma, phi_star=phi_star, w_of_a=w,
         condition_value=cond, feasible=feasible, velo_bound=velo,
-        linear_rate=mu, diagnostics=diagnostics)
+        linear_rate=mu, diagnostics=diagnostics, relaxation=rmap)
 
 
 def certify(bounds: BoundData, sigma: float, a: float,
             n_grid: int = 128) -> MajorantCertificate:
     """Search for the smallest radius whose majorant condition holds.
 
-    Scans an r-grid on (0, R], refines the first feasible bracket by
-    bisection, and evaluates the certificate there.  Infeasibility is a
-    result, not an error: the returned certificate then carries
-    ``feasible=False`` and diagnostics at the fallback radius R.
+    Scans an r-grid on (0, R] up to the first feasible radius, refines the
+    bracket below it by bisection, and evaluates the certificate there.
+    Infeasibility is a result, not an error: the returned certificate then
+    carries ``feasible=False`` and diagnostics at the fallback radius R.
     """
     if not (a > 0.0 and np.isfinite(a)):
         raise ArgumentError("initial residual norm a must be positive")
@@ -457,14 +513,18 @@ def certify(bounds: BoundData, sigma: float, a: float,
 
     def excess(r: float) -> float:
         try:
-            w = majorant_sum(bounds, sigma, r, a)
+            rmap = RelaxationMap(bounds, sigma, r)
+            return rmap.lt * rmap.sum(a) - r
         except (AssumptionError, DivergenceError):
             return math.inf
-        return bounds.lam_at(r) * bounds.theta_at(r) * w - r
 
     grid = np.linspace(R / n_grid, R, n_grid)
-    vals = [excess(r) for r in grid]
-    hit = next((i for i, v in enumerate(vals) if v <= 0.0), None)
+    vals = []
+    for r in grid:
+        vals.append(excess(r))
+        if vals[-1] <= 0.0:
+            break
+    hit = len(vals) - 1 if vals[-1] <= 0.0 else None
     if hit is None:
         finite = [(v, r) for v, r in zip(vals, grid) if np.isfinite(v)]
         if np.isfinite(vals[-1]):
@@ -493,11 +553,22 @@ def certify(bounds: BoundData, sigma: float, a: float,
 
 def apriori_bound(cert: MajorantCertificate, bounds: BoundData, n: int) -> float:
     """Error bound computable before the run: lam*theta*w(r, d^(n)(r, a))."""
+    return apriori_bounds(cert, bounds, n)[n]
+
+
+def apriori_bounds(cert: MajorantCertificate, bounds: BoundData, n_max: int) -> list[float]:
+    """``apriori_bound`` for n = 0..n_max, from one pass over the iterates of a."""
     if not cert.feasible:
         raise ArgumentError("a priori bounds require a feasible certificate")
-    dn = relax_iterate(bounds, cert.sigma, cert.r, cert.a, n)
-    lt = bounds.lam_at(cert.r) * bounds.theta_at(cert.r)
-    return lt * majorant_sum(bounds, cert.sigma, cert.r, dn)
+    if n_max < 0:
+        raise ArgumentError("n_max must be >= 0")
+    rmap = cert.relaxation_for(bounds)
+    out = []
+    dn = float(cert.a)
+    for _ in range(n_max + 1):
+        out.append(rmap.lt * rmap.sum(dn))
+        dn = float(rmap(dn))
+    return out
 
 
 def aposteriori_bound(cert: MajorantCertificate, bounds: BoundData,
@@ -511,8 +582,8 @@ def aposteriori_bound(cert: MajorantCertificate, bounds: BoundData,
         raise DivergenceError(
             f"residual {res_norm:.6g} >= fixed point {cert.phi_star:.6g}; "
             "majorant series diverges")
-    lt = bounds.lam_at(cert.r) * bounds.theta_at(cert.r)
-    return lt * majorant_sum(bounds, cert.sigma, cert.r, res_norm)
+    rmap = cert.relaxation_for(bounds)
+    return rmap.lt * rmap.sum(res_norm)
 
 
 def rate_bounds(cert: MajorantCertificate, bounds: BoundData) -> tuple[float, float]:
@@ -521,5 +592,5 @@ def rate_bounds(cert: MajorantCertificate, bounds: BoundData) -> tuple[float, fl
         raise ArgumentError("rate bounds require a feasible certificate")
     if cert.a == 0.0:
         raise ArgumentError("rate bounds undefined for a = 0")
-    velo = relax(bounds, cert.sigma, cert.r, cert.a) / cert.a
-    return velo, bounds.mu_at(cert.r, cert.sigma)
+    rmap = cert.relaxation_for(bounds)
+    return float(rmap(cert.a)) / cert.a, rmap.mu

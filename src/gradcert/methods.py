@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import majorant
-from .errors import ArgumentError, BreakdownError
+from .errors import ArgumentError, BreakdownError, DivergenceError
 from .spaces import EUCLIDEAN, SpaceGeometry, norm, semiscalar
 
 MIN_RESIDUAL = "min_residual"
@@ -178,7 +178,10 @@ class TraceStep:
 
 @dataclass
 class IterationTrace:
-    """Immutable-after-production record of one solver run."""
+    """Immutable-after-production record of one solver run.
+
+    ``reason`` says why a run that ended in breakdown broke down.
+    """
 
     steps: list[TraceStep]
     termination: str
@@ -187,6 +190,7 @@ class IterationTrace:
     space: SpaceGeometry
     x0: np.ndarray
     certified_r: float | None = None
+    reason: str | None = None
 
     @property
     def sigma(self) -> float:
@@ -225,15 +229,17 @@ def solve(problem, method: MethodSpec, space: SpaceGeometry, stop: StopRule,
     x = np.array(problem.x0, dtype=float)
     x0 = x.copy()
     radius = certificate.r if certificate is not None else problem.R
-    sigma = space.sigma
     bound_dn = certificate.a if certificate is not None else math.nan
+    rmap = certificate.relaxation_for(bounds) if certificate is not None else None
 
     steps: list[TraceStep] = []
     termination = "max_iter"
+    reason = None
     for n in range(stop.max_iter + 1):
         fx = np.asarray(problem.f(x), dtype=float)
         if not np.all(np.isfinite(fx)):
             termination = "breakdown"
+            reason = f"f(x_{n}) has non-finite entries"
             break
         res = norm(space, fx)
         dist = norm(space, x - x0)
@@ -241,8 +247,8 @@ def solve(problem, method: MethodSpec, space: SpaceGeometry, stop: StopRule,
         if certificate is not None:
             try:
                 apost = majorant.aposteriori_bound(certificate, bounds, res)
-            except Exception:
-                apost = math.nan
+            except DivergenceError:
+                apost = math.nan  # residual at or above the fixed point: no bound
         steps.append(TraceStep(n=n, x=x.copy(), res_norm=res,
                                dist_from_center=dist, bound_dn=bound_dn,
                                apost_bound=apost))
@@ -257,25 +263,28 @@ def solve(problem, method: MethodSpec, space: SpaceGeometry, stop: StopRule,
             break
         try:
             lam, direction = step_direction(method, space, problem, x, fx)
-        except BreakdownError:
+        except BreakdownError as exc:
             termination = "breakdown"
+            reason = str(exc)
             break
         x_next = x - lam * direction
         if not np.all(np.isfinite(x_next)):
             termination = "breakdown"
+            reason = f"step {n} produced non-finite entries"
             break
         steps[-1].lambda_ = lam
         steps[-1].step_norm = norm(space, x_next - x)
         x = x_next
-        if certificate is not None:
-            bound_dn = majorant.relax(bounds, sigma, certificate.r, bound_dn)
+        if rmap is not None:
+            bound_dn = rmap(bound_dn)
 
     if not steps:  # f(x0) was non-finite
         steps.append(TraceStep(n=0, x=x0.copy(), res_norm=math.nan))
     return IterationTrace(steps=steps, termination=termination,
                           problem_name=getattr(problem, "name", "?"),
                           family=method.family, space=space, x0=x0,
-                          certified_r=None if certificate is None else certificate.r)
+                          certified_r=None if certificate is None else certificate.r,
+                          reason=reason)
 
 
 @dataclass(frozen=True)
@@ -316,8 +325,8 @@ def verify_relaxation(trace: IterationTrace, cert: majorant.MajorantCertificate,
         raise ArgumentError(
             f"trace initial residual {a0:.12g} does not match certificate a={cert.a:.12g}")
     r = cert.r
-    sigma = cert.sigma
-    lt = bounds.lam_at(r) * bounds.theta_at(r)
+    rmap = cert.relaxation_for(bounds)
+    lt = rmap.lt
     report = VerificationReport()
     for i, step in enumerate(trace.steps):
         if step.dist_from_center > r * (1.0 + tol):
@@ -326,7 +335,7 @@ def verify_relaxation(trace: IterationTrace, cert: majorant.MajorantCertificate,
         if math.isnan(step.lambda_) or i + 1 >= len(trace.steps):
             continue
         res_next = trace.steps[i + 1].res_norm
-        allowed = majorant.relax(bounds, sigma, r, step.res_norm)
+        allowed = rmap(step.res_norm)
         if res_next > allowed * (1.0 + tol):
             report.violations.append(
                 Violation(step.n, "residual", res_next, allowed))

@@ -194,6 +194,95 @@ def _structured_pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(xs), np.array(ys)
 
 
+_AXIOM_BLOCK = 2048
+_AXIOM_NAMES = ("pairing_norm", "first_slot_homogeneity", "second_slot_linearity",
+                "cauchy_schwarz", "quadratic_inequality")
+
+
+def _check_block(space, sig, tol, X, Y, Y2, lam, a1, a2, worst, nviol) -> None:
+    """Fold one block of sampled rows into the running worst slacks and counts."""
+    nX = norm_rows(space, X)
+    nY = norm_rows(space, Y)
+    sxx = semiscalar_rows(space, X, X)
+    sxy = semiscalar_rows(space, X, Y)
+
+    def _update(name, slack, scale_, witness_rows):
+        normed = slack / np.maximum(1.0, scale_)
+        i = int(np.argmin(normed))
+        if normed[i] < worst[name][0]:
+            worst[name] = (float(normed[i]), tuple(w[i].copy() for w in witness_rows))
+        nviol[name] += int(np.sum(normed < -tol))
+
+    # (a) pairing against itself reproduces the squared norm
+    _update("pairing_norm", -np.abs(sxx - nX**2), nX**2, (X,))
+    # (b) [lam x, y] = lam [x, y]
+    slxy = semiscalar_rows(space, lam[:, None] * X, Y)
+    _update("first_slot_homogeneity", -np.abs(slxy - lam * sxy),
+            np.abs(lam) * np.abs(sxy) + nX * nY, (X, Y, lam))
+    # (c) linearity in the second slot
+    comb = semiscalar_rows(space, X, a1[:, None] * Y + a2[:, None] * Y2)
+    parts = a1 * sxy + a2 * semiscalar_rows(space, X, Y2)
+    _update("second_slot_linearity", -np.abs(comb - parts),
+            np.abs(comb) + np.abs(parts) + nX * (nY + norm_rows(space, Y2)), (X, Y, Y2))
+    # (d) [x, y] <= ||x|| ||y||
+    _update("cauchy_schwarz", nX * nY - sxy, nX * nY, (X, Y))
+    # (iv) ||x+y||^2 <= ||x||^2 + 2[x,y] + sigma ||y||^2
+    lhs = norm_rows(space, X + Y) ** 2
+    rhs = nX**2 + 2.0 * sxy + sig * nY**2
+    _update("quadratic_inequality", rhs - lhs,
+            np.maximum(lhs, np.abs(rhs)), (X, Y))
+
+
+def _generator_at(bg, state, skip: int = 0) -> np.random.Generator:
+    """A generator on a copy of bit generator ``bg`` at ``state``, ``skip`` draws on."""
+    g = np.random.Generator(type(bg)())
+    g.bit_generator.state = state
+    g.bit_generator.advance(skip)
+    return g
+
+
+def _sample_blocks(rng, xs_s, ys_s, n_rand):
+    """Yield (X, Y, Y2, lam, a1, a2) row blocks of one dimension's sample set.
+
+    The rows are those of full-size draws from ``rng`` in the order: scale
+    (n_rand uniforms), X and Y (structured rows, then n_rand Gaussian rows
+    times 10**scale), lam, a1 and a2 (n uniforms each); Y2 is Y rolled down
+    by one row.  A uniform takes one step of the bit generator and a
+    Gaussian a varying number, so the Gaussian rows are drawn once ahead to
+    find where each stream starts; every stream is then read a block at a
+    time from a copy placed at its start.  ``rng`` ends where the full-size
+    draws leave it.
+    """
+    k, dim = xs_s.shape
+    n = k + n_rand
+    bg = rng.bit_generator
+    starts = [bg.state]
+    bg.advance(n_rand)
+    for _ in range(2):  # the Gaussian rows of X, then of Y
+        starts.append(bg.state)
+        for lo in range(0, n_rand, _AXIOM_BLOCK):
+            last = rng.standard_normal((min(_AXIOM_BLOCK, n_rand - lo), dim))[-1]
+    gscale, gx, gy = (_generator_at(bg, st) for st in starts)
+    st = bg.state
+    glam, ga1, ga2 = (_generator_at(bg, st, i * n) for i in range(3))
+    bg.advance(3 * n)
+    # Y[n - 1], which the roll puts on row 0; powers are taken on arrays, as
+    # numpy's scalar power can round differently
+    y_prev = ys_s[-1]
+    if n_rand:
+        y_prev = last * 10.0 ** _generator_at(bg, starts[0], n_rand - 1).uniform(-2, 2, (1,))
+    for lo in range(0, n, _AXIOM_BLOCK):
+        hi = min(n, lo + _AXIOM_BLOCK)
+        m = max(hi, k) - max(lo, k)  # Gaussian rows in this block
+        sc = 10.0 ** gscale.uniform(-2, 2, size=(m, 1))
+        X = np.vstack([xs_s[lo:hi], gx.standard_normal((m, dim)) * sc])
+        Y = np.vstack([ys_s[lo:hi], gy.standard_normal((m, dim)) * sc])
+        Y2 = np.vstack([y_prev, Y[:-1]])
+        y_prev = Y[-1]
+        yield (X, Y, Y2, glam.uniform(-3.0, 3.0, hi - lo),
+               ga1.uniform(-2.0, 2.0, hi - lo), ga2.uniform(-2.0, 2.0, hi - lo))
+
+
 def verify_space_axioms(
     space: SpaceGeometry,
     n_samples: int = 1000,
@@ -218,61 +307,24 @@ def verify_space_axioms(
     sig = space.sigma if sigma is None else float(sigma)
     rng = np.random.default_rng(seed)
 
-    names = ("pairing_norm", "first_slot_homogeneity", "second_slot_linearity",
-             "cauchy_schwarz", "quadratic_inequality")
-    worst = {n: (np.inf, None) for n in names}
-    nviol = dict.fromkeys(names, 0)
+    worst = {n: (np.inf, None) for n in _AXIOM_NAMES}
+    nviol = dict.fromkeys(_AXIOM_NAMES, 0)
     checked = 0
 
     per_dim = max(1, n_samples // len(dims))
     for dim in dims:
         xs_s, ys_s = _structured_pairs(dim)
         n_rand = max(0, per_dim - len(xs_s))
-        scale = 10.0 ** rng.uniform(-2, 2, size=(n_rand, 1))
-        X = np.vstack([xs_s, rng.standard_normal((n_rand, dim)) * scale])
-        Y = np.vstack([ys_s, rng.standard_normal((n_rand, dim)) * scale])
-        n = len(X)
-        lam = rng.uniform(-3.0, 3.0, size=n)
-        a1 = rng.uniform(-2.0, 2.0, size=n)
-        a2 = rng.uniform(-2.0, 2.0, size=n)
-        Y2 = np.roll(Y, 1, axis=0)
-
-        nX = norm_rows(space, X)
-        nY = norm_rows(space, Y)
-        sxx = semiscalar_rows(space, X, X)
-        sxy = semiscalar_rows(space, X, Y)
-
-        def _update(name, slack, scale_, witness_rows):
-            normed = slack / np.maximum(1.0, scale_)
-            i = int(np.argmin(normed))
-            if normed[i] < worst[name][0]:
-                worst[name] = (float(normed[i]), tuple(w[i].copy() for w in witness_rows))
-            nviol[name] += int(np.sum(normed < -tol))
-
-        # (a) pairing against itself reproduces the squared norm
-        _update("pairing_norm", -np.abs(sxx - nX**2), nX**2, (X,))
-        # (b) [lam x, y] = lam [x, y]
-        slxy = semiscalar_rows(space, lam[:, None] * X, Y)
-        _update("first_slot_homogeneity", -np.abs(slxy - lam * sxy),
-                np.abs(lam) * np.abs(sxy) + nX * nY, (X, Y, lam))
-        # (c) linearity in the second slot
-        comb = semiscalar_rows(space, X, a1[:, None] * Y + a2[:, None] * Y2)
-        parts = a1 * sxy + a2 * semiscalar_rows(space, X, Y2)
-        _update("second_slot_linearity", -np.abs(comb - parts),
-                np.abs(comb) + np.abs(parts) + nX * (nY + norm_rows(space, Y2)), (X, Y, Y2))
-        # (d) [x, y] <= ||x|| ||y||
-        _update("cauchy_schwarz", nX * nY - sxy, nX * nY, (X, Y))
-        # (iv) ||x+y||^2 <= ||x||^2 + 2[x,y] + sigma ||y||^2
-        lhs = norm_rows(space, X + Y) ** 2
-        rhs = nX**2 + 2.0 * sxy + sig * nY**2
-        _update("quadratic_inequality", rhs - lhs,
-                np.maximum(lhs, np.abs(rhs)), (X, Y))
-        checked += n
+        # Row blocks bound the transient arrays; every check is row-wise, and a
+        # strict improvement across blocks keeps the first witness on ties.
+        for block in _sample_blocks(rng, xs_s, ys_s, n_rand):
+            _check_block(space, sig, tol, *block, worst, nviol)
+        checked += len(xs_s) + n_rand
 
     checks = {
         name: PropertyCheck(name, worst[name][0], nviol[name],
                             worst[name][1] if nviol[name] else None)
-        for name in names
+        for name in _AXIOM_NAMES
     }
     passed = all(c.violations == 0 for c in checks.values())
     return SpaceAxiomReport(passed=passed, n_checked=checked, tol=tol,

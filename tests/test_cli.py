@@ -46,6 +46,7 @@ def test_solve_identity_one_step(tmp_path):
     assert float(rows[1]["res_norm"]) <= 1e-12
     rep = read_report(tmp_path)
     assert rep["trace"]["termination"] == "converged"
+    assert rep["trace"]["reason"] is None
     assert rep["generated_at"] is None
 
 
@@ -85,6 +86,10 @@ def test_solve_breakdown_exits_4(tmp_path):
                                "explicit": {"mu": 0.5, "lam": 1.0, "theta": 1.0}})
     rc = write_config(tmp_path, **cfg)
     assert cli.main(["solve", "--config", rc, "--fixed-clock"]) == 4
+    trace = read_report(tmp_path)["trace"]
+    assert trace["termination"] == "breakdown"
+    assert "steepest_descent: step denominator" in trace["reason"]
+    assert "positive-pairing assumption fails" in trace["reason"]
 
 
 def test_solve_non_convergence_exits_3(tmp_path):

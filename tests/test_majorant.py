@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 import gradcert as gc
+from gradcert import cli
 from gradcert.errors import ArgumentError, AssumptionError, DivergenceError
 
 
@@ -389,3 +391,100 @@ def test_mu_derivation_uses_sigma():
                      nu=0.8, step_family="min")
     assert b.mu_at(0.5, 1.0) == pytest.approx(0.6, rel=1e-12)
     assert b.mu_at(0.5, 2.0) == pytest.approx(math.sqrt(1 - 0.32), rel=1e-12)
+
+
+# --- upper-bounding series and closed-form fixed points -----------------------------
+
+moduli = st.one_of(
+    st.builds(gc.LipschitzModulus, st.floats(0.05, 4.0)),
+    st.builds(gc.HolderModulus, st.floats(0.05, 4.0), st.floats(0.3, 1.0)))
+
+
+def _map(omega, mu, lt, sigma):
+    b = gc.BoundData(lam=lt, theta=1.0, omega=omega, R=10.0, mu=mu)
+    return gc.RelaxationMap(b, sigma, 1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(omega=moduli, mu=st.floats(0.0, 0.9), lt=st.floats(0.2, 2.5),
+       sigma=st.floats(1.0, 3.0), frac=st.floats(0.01, 0.95))
+def test_series_brackets_the_sum(omega, mu, lt, sigma, frac):
+    d = _map(omega, mu, lt, sigma)
+    a = frac * d.phi_star
+    w = d.sum(a)
+    # every partial sum stays below w, up to the rounding of the partial sums
+    partial, term = 0.0, a
+    for _ in range(20000):
+        partial += term
+        assert partial <= w * (1.0 + 1e-14)
+        term = d(term)
+        if term <= 1e-18 * partial:
+            break
+    # the ratio d(t)/t lies in [mu, d(a)/a] along the iterates
+    assert a / (1.0 - mu) <= w * (1.0 + 1e-14)
+    assert w <= a / (1.0 - d(a) / a) * (1.0 + 1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mu=st.floats(0.0, 0.999), lt=st.floats(0.2, 2.5), sigma=st.floats(1.0, 3.0),
+       a=st.floats(1e-6, 1e3))
+def test_series_is_exact_for_zero_modulus(mu, lt, sigma, a):
+    d = _map(gc.LipschitzModulus(0.0), mu, lt, sigma)
+    assert d.phi_star is None
+    assert d.sum(a) == a / (1.0 - mu)
+
+
+@settings(max_examples=80, deadline=None)
+@given(omega=moduli, mu=st.floats(0.0, 0.9), lt=st.floats(0.2, 2.5),
+       sigma=st.floats(1.0, 3.0))
+def test_closed_form_fixed_point_is_fixed(omega, mu, lt, sigma):
+    d = _map(omega, mu, lt, sigma)
+    ps = d.phi_star
+    assert ps > 0.0
+    assert d(ps) == pytest.approx(ps, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(L=st.floats(0.05, 4.0), mu=st.floats(0.0, 0.9), lt=st.floats(0.2, 2.5),
+       sigma=st.floats(1.0, 3.0))
+def test_closed_form_fixed_point_matches_tabulated_scan(L, mu, lt, sigma):
+    ps = _map(gc.LipschitzModulus(L), mu, lt, sigma).phi_star
+    # the same modulus, tabulated far enough out to contain lt * phi*
+    T = 4.0 * lt * ps
+    scanned = _map(gc.TabulatedModulus([0.0, T], [0.0, L * T]), mu, lt, sigma).phi_star
+    assert scanned == pytest.approx(ps, rel=1e-9, abs=1e-11)
+
+
+def _count_integral_calls(monkeypatch, omega):
+    cls = type(omega)
+    calls = [0]
+    integral = cls.integral
+
+    def counted(self, r, t):
+        calls[0] += 1
+        return integral(self, r, t)
+
+    monkeypatch.setattr(cls, "integral", counted)
+    return calls
+
+
+def test_certify_closed_form_spd_is_cheap_and_sound(monkeypatch):
+    p = gc.linear_spd(1, 25, 10, rotate=True, seed=15)
+    bounds = p.certified_bounds.bound_data(gc.MethodSpec(gc.MIN_RESIDUAL), 1.0)
+    calls = _count_integral_calls(monkeypatch, bounds.omega)
+    a = gc.norm(gc.euclidean(), p.f(p.x0))
+    cert = gc.certify(bounds, 1.0, a)
+    assert calls[0] <= 200
+    assert cert.feasible
+    mu = bounds.mu_at(cert.r, 1.0)
+    lt = bounds.lam_at(cert.r) * bounds.theta_at(cert.r)
+    assert cert.w_of_a == a / (1.0 - mu)
+    assert cert.r >= lt * a / (1.0 - mu)
+
+
+def test_certify_quad2d_config_integral_calls(monkeypatch, tmp_path):
+    config = Path(__file__).resolve().parents[1] / "configs" / "quad2d_certify.json"
+    calls = _count_integral_calls(monkeypatch, gc.LipschitzModulus(0.2))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["certify", "--config", str(config), "--fixed-clock"]) == 3
+    assert 0 < calls[0] <= 2500

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import gradcert as gc
 from gradcert.errors import ArgumentError
+from gradcert.spaces import _AXIOM_BLOCK, _sample_blocks, _structured_pairs
 
 P_VALUES = [2.0, 2.5, 3.0, 4.0, 7.0]
 
@@ -199,3 +200,27 @@ def test_verify_axioms_wrong_sigma_fails_with_witness():
 def test_verify_axioms_rejects_empty():
     with pytest.raises(ArgumentError):
         gc.verify_space_axioms(gc.euclidean(), n_samples=0)
+
+
+# n_rand values: no Gaussian rows, one partial block, exactly one full block
+# (dim 4 has 12 structured rows), and several blocks
+@pytest.mark.parametrize("dim, n_rand", [(2, 0), (3, 5), (4, _AXIOM_BLOCK - 12),
+                                         (4, 2 * _AXIOM_BLOCK + 5)])
+def test_sample_blocks_match_full_size_draws(dim, n_rand):
+    # reference: every stream drawn whole, in order, from one generator
+    xs_s, ys_s = _structured_pairs(dim)
+    ref = np.random.default_rng(9)
+    scale = 10.0 ** ref.uniform(-2, 2, size=(n_rand, 1))
+    X = np.vstack([xs_s, ref.standard_normal((n_rand, dim)) * scale])
+    Y = np.vstack([ys_s, ref.standard_normal((n_rand, dim)) * scale])
+    n = len(X)
+    want = (X, Y, np.roll(Y, 1, axis=0), ref.uniform(-3.0, 3.0, size=n),
+            ref.uniform(-2.0, 2.0, size=n), ref.uniform(-2.0, 2.0, size=n))
+
+    rng = np.random.default_rng(9)
+    blocks = list(_sample_blocks(rng, xs_s, ys_s, n_rand))
+    got = [np.concatenate(parts) for parts in zip(*blocks)]
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    # the generator is left where the full-size draws leave it
+    assert rng.bit_generator.state == ref.bit_generator.state
