@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""Digest every CLI output of a checkout, to prove a refactor changed no byte.
+
+Runs ``gradcert <command> --fixed-clock`` for each config under estimate,
+certify, solve and verify-space, using the ``src`` of the given checkout.
+Each run gets its own working directory inside a temporary directory, so
+relative output paths (and the config echoed into the report) are the
+same for every checkout.  Prints one line per report, trace and exit code:
+
+    <config> <command> report|trace|exit <sha256 | absent | code>
+
+Diff the output for two checkouts; an empty diff means every report, trace
+and exit code is byte-identical.  A report that goes to standard output
+(no ``report_path``) is digested from there.
+
+Usage: python scripts/fixed_clock_digest.py CHECKOUT [CONFIG ...]
+       (default configs: CHECKOUT/configs/*.json)
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+COMMANDS = ("estimate", "certify", "solve", "verify-space")
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest(checkout: Path, configs: list[Path]) -> list[str]:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, cfg in enumerate(configs):
+            output = json.loads(cfg.read_text()).get("output") or {}
+            for cmd in COMMANDS:
+                work = Path(tmp) / f"{k}-{cmd}"
+                work.mkdir()
+                shutil.copy(cfg, work / "config.json")
+                proc = subprocess.run(
+                    [sys.executable, "-m", "gradcert", cmd, "--config", "config.json",
+                     "--fixed-clock"],
+                    cwd=work, env=env, capture_output=True)
+                tag = f"{cfg.name} {cmd}"
+                report = work / (output.get("report_path") or "-")
+                lines.append(f"{tag} report " + _sha(
+                    report.read_bytes() if report.is_file() else proc.stdout))
+                trace = work / (output.get("trace_path") or "-")
+                lines.append(f"{tag} trace "
+                             + (_sha(trace.read_bytes()) if trace.is_file() else "absent"))
+                lines.append(f"{tag} exit {proc.returncode}")
+    return lines
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkout", type=Path)
+    parser.add_argument("configs", type=Path, nargs="*")
+    args = parser.parse_args()
+    checkout = args.checkout.resolve()
+    configs = [c.resolve() for c in args.configs] or sorted(
+        (checkout / "configs").glob("*.json"))
+    for line in digest(checkout, configs):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -10,9 +10,10 @@ error bounds.
 
 from .errors import (ArgumentError, AssumptionError, BreakdownError,
                      ConvergenceError, DivergenceError, GradcertError)
-from .estimator import (SamplePlan, estimate_lambda_tilde, estimate_nu_tilde,
-                        estimate_nu_trajectory, estimate_omega_lipschitz,
-                        estimated_bound_data)
+from .estimator import (Estimates, SamplePlan, estimate_lambda_tilde,
+                        estimate_nu_tilde, estimate_nu_trajectory,
+                        estimate_omega_lipschitz, estimated_bound_data,
+                        sample_estimates)
 from .majorant import (BoundData, HolderModulus, LipschitzModulus,
                        MajorantCertificate, RelaxationMap, TabulatedModulus,
                        altman_validity_threshold, aposteriori_bound,

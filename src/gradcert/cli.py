@@ -368,14 +368,9 @@ def cmd_estimate(rc: dict, fixed_clock: bool) -> int:
     space = _build_space(rc)
     method = _build_method(rc)
     plan = _build_plan(rc)
-    r = problem.R
-    nu = estimator.estimate_nu_tilde(problem, method, space, r, plan)
-    lam = estimator.estimate_lambda_tilde(problem, method, space, r, plan)
-    try:
-        nu_traj = estimator.estimate_nu_trajectory(problem, method, space, r, plan)
-    except ArgumentError:
-        nu_traj = None
-    L = estimator.estimate_omega_lipschitz(problem, r, plan, space)
+    est = estimator.sample_estimates(problem, method, space, problem.R, plan)
+    nu, lam, nu_traj = est.nu_tilde, est.lambda_tilde, est.nu_trajectory
+    L = est.lipschitz()
 
     sigma = space.sigma
     th = method.effective_vartheta

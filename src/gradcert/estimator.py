@@ -10,12 +10,19 @@ one-sided estimates: nu_tilde is an upper estimate of the true infimum
 and lambda_tilde / the Lipschitz constant are lower estimates of the true
 suprema.  Reports must label them as such; the relaxation verifier is the
 backstop that catches an understated bound at run time.
+
+``sample_estimates`` computes all of them in one pass.  It draws the ball
+points and directions once, evaluates ``f`` and the Jacobian once per ball
+point and once per extra axis point of the Lipschitz pairs, and then
+polishes the worst acuteness ratio and the largest step-size ratio.  The
+``Estimates`` record it returns holds the five values; the ``estimate_*``
+functions read that record.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,6 +44,42 @@ class SamplePlan:
     def __post_init__(self):
         if self.n_points < 1 or self.n_dirs < 1:
             raise ArgumentError("n_points and n_dirs must be >= 1")
+
+
+_NO_DISTINCT_PAIR = "need at least two distinct sample points"
+
+
+@dataclass(frozen=True)
+class Estimates:
+    """The sampled bound functions of one pass.
+
+    ``nu_trajectory`` is None when f vanishes at every sampled point, and
+    ``omega_lipschitz`` is None when no two sampled points are distinct;
+    ``trajectory()`` and ``lipschitz()`` raise ArgumentError for those.
+    """
+
+    nu_tilde: float
+    lambda_tilde: float
+    nu_trajectory: float | None
+    theta: float
+    omega_lipschitz: float | None
+
+    def trajectory(self) -> float:
+        if self.nu_trajectory is None:
+            raise ArgumentError("all sampled points have f(x) = 0; estimate undefined")
+        return self.nu_trajectory
+
+    def lipschitz(self) -> float:
+        if self.omega_lipschitz is None:
+            raise ArgumentError(_NO_DISTINCT_PAIR)
+        return self.omega_lipschitz
+
+
+def _check_radius(problem, r: float) -> None:
+    if not r >= 0.0:
+        raise ArgumentError(f"r={r} must be a nonnegative number")
+    if r > problem.R * (1.0 + 1e-9):
+        raise ArgumentError(f"r={r} exceeds problem radius R={problem.R}")
 
 
 def _ball_points(center: np.ndarray, r: float, n: int, rng, space) -> np.ndarray:
@@ -74,8 +117,12 @@ def _direction_set(dim: int, n: int, rng, space) -> np.ndarray:
     return H / norm_rows(space, H)[:, None]
 
 
+def _jacobian(problem, x: np.ndarray) -> np.ndarray:
+    return np.asarray(problem.jacobian(x), dtype=float)
+
+
 def _operator(problem, method: MethodSpec, x: np.ndarray) -> np.ndarray:
-    J = np.asarray(problem.jacobian(x), dtype=float)
+    J = _jacobian(problem, x)
     return J @ J.T if method.uses_adjoint else J
 
 
@@ -89,6 +136,20 @@ def _acute_ratios(space, H: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
 
 
+# One-row version for the polish, which scores one candidate at a time.
+# It makes the kernel calls of the row version on a 1-row block, so the
+# values are the same bit for bit.  Candidates must not be batched: a
+# many-row ``H @ B.T`` can round a row differently from a 1-row product.
+
+def _acute_ratio(space, h: np.ndarray, B: np.ndarray) -> float:
+    """``_acute_ratios`` for the single direction h."""
+    H = h[None, :]
+    W = H @ B.T
+    den = norm_rows(space, H)[0] * norm_rows(space, W)[0]
+    num = semiscalar_rows(space, H, W)[0]
+    return float(num / den) if den > 0.0 else 0.0
+
+
 def _project_ball(space, center, r, x):
     d = x - center
     nd = norm(space, d)
@@ -97,9 +158,17 @@ def _project_ball(space, center, r, x):
     return x
 
 
-def _polish(objective, space, center, r, x, h, minimize: bool, iters: int = 40):
-    """Projected coordinate descent over (ball point, unit direction)."""
-    best = objective(x, h)
+def _polish(objective, operator, space, center, r, x, h, minimize: bool,
+            iters: int = 40):
+    """Projected coordinate descent over (ball point, unit direction).
+
+    ``objective(B, h)`` scores the direction h against ``B = operator(x)``.
+    The direction sweep keeps x, so it reuses B; each point candidate
+    builds its own B, which becomes the current one if it is accepted.
+    Returns the best value.
+    """
+    B = operator(x)
+    best = objective(B, h)
     step = 0.25
     for _ in range(iters):
         improved = False
@@ -111,7 +180,7 @@ def _polish(objective, space, center, r, x, h, minimize: bool, iters: int = 40):
                 if nh == 0.0:
                     continue
                 hc /= nh
-                v = objective(x, hc)
+                v = objective(B, hc)
                 if (v < best) if minimize else (v > best):
                     best, h, improved = v, hc, True
         if r > 0.0:
@@ -120,14 +189,177 @@ def _polish(objective, space, center, r, x, h, minimize: bool, iters: int = 40):
                     xc = x.copy()
                     xc[j] += s
                     xc = _project_ball(space, center, r, xc)
-                    v = objective(xc, h)
+                    Bc = operator(xc)
+                    v = objective(Bc, h)
                     if (v < best) if minimize else (v > best):
-                        best, x, improved = v, xc, True
+                        best, x, B, improved = v, xc, Bc, True
         if not improved:
             step *= 0.5
             if step < 1e-7:
                 break
     return best
+
+
+def _induced_scale(space: SpaceGeometry, m: int) -> float:
+    """Factor taking a spectral norm to an upper bound of the p -> p norm."""
+    if space.kind == EUCLIDEAN or space.p == 2.0:
+        return 1.0
+    return m ** abs(0.5 - 1.0 / space.p)
+
+
+def _matrix_norm(space: SpaceGeometry, M: np.ndarray) -> float:
+    # p -> p induced norm upper bound via the spectral norm; safe direction
+    return float(np.linalg.norm(M, 2)) * _induced_scale(space, M.shape[0])
+
+
+def _matrix_norm_bound(space: SpaceGeometry, M: np.ndarray) -> float:
+    """Cheap upper bound of ``_matrix_norm``: ||M||_2 <= sqrt(||M||_1 ||M||_inf).
+
+    Exact arithmetic gives ``_matrix_norm <= bound``; in floating point
+    either side can be off by rounding, which a relative margin of 1e-12
+    covers.
+    """
+    A = np.abs(M)
+    ub = math.sqrt(float(A.sum(axis=0).max()) * float(A.sum(axis=1).max()))
+    return ub * _induced_scale(space, M.shape[0])
+
+
+class _LipschitzPairs:
+    """Running max of ||J(x1) - J(x2)|| / ||x1 - x2|| over the sample pairs.
+
+    The pairs are the center against center +- t*r*e_i for t = 1, 1/2, 1/4,
+    and each ball point against the next.  Ball points 1..2*dim are the
+    t = 1 axis points, so ``visit``, which takes the ball points in order,
+    reuses their Jacobians and keeps only the center's and the previous
+    point's.  A pair whose cheap bound cannot raise the maximum skips its
+    SVD; the maximum is the same bit for bit.
+    """
+
+    def __init__(self, problem, space, center, r):
+        self.problem, self.space, self.center, self.r = problem, space, center, r
+        self.eye = np.eye(len(center))
+        self.best, self.n_used = 0.0, 0
+        self.J0 = self.prev = None
+
+    def visit(self, k: int, x: np.ndarray, J: np.ndarray) -> None:
+        if k == 0:
+            self.J0 = J
+        else:
+            self._pair(*self.prev, x, J)
+            if k <= 2 * len(self.center):
+                self._axis_pairs((k - 1) // 2, k % 2 == 1, J)
+        self.prev = (x, J)
+
+    def value(self) -> float | None:
+        return self.best if self.n_used else None
+
+    def _axis_pairs(self, i: int, plus: bool, J_unit) -> None:
+        c, e, r = self.center, self.eye[i], self.r
+        for t in (1.0, 0.5, 0.25):
+            x2 = c + t * r * e if plus else c - t * r * e
+            self._pair(c, self.J0, x2, J_unit if t == 1.0 else None)
+
+    def _pair(self, x1, J1, x2, J2) -> None:
+        space = self.space
+        dist = norm(space, x1 - x2)
+        if dist <= 1e-14 * (1.0 + norm(space, x1)):
+            return
+        self.n_used += 1
+        D = J1 - (_jacobian(self.problem, x2) if J2 is None else J2)
+        if _matrix_norm_bound(space, D) * (1.0 + 1e-12) / dist <= self.best:
+            return
+        self.best = max(self.best, _matrix_norm(space, D) / dist)
+
+
+def sample_estimates(problem, method: MethodSpec, space: SpaceGeometry,
+                     r: float, plan: SamplePlan) -> Estimates:
+    """Every sampled bound function over the ball of radius r, in one pass.
+
+    nu_tilde is the smallest acuteness ratio over the sampled points and
+    directions (the residual f(x) is always among the directions, so the
+    trajectory variant can never fall below it on the same plan), and
+    lambda_tilde the largest step-size ratio for the method's step family;
+    with ``plan.refine`` both are then polished.  nu_trajectory takes the
+    residual directions only, theta the largest norm of T(x) = J(x)^T
+    (exactly 1 for identity T), and omega_lipschitz the largest Jacobian
+    difference quotient over the sample pairs.
+    """
+    _check_radius(problem, r)
+    method.check_space(space)
+    rng = np.random.default_rng(plan.seed)
+    center = np.asarray(problem.x0, dtype=float)
+    pts = _ball_points(center, r, plan.n_points, rng, space)
+    H0 = _direction_set(len(center), plan.n_dirs, rng, space)
+    adjoint = method.uses_adjoint
+    th = method.effective_vartheta
+    minimal_quadratic = method.mu_family == "min"
+    h0_sq = None if minimal_quadratic else norm_rows(space, H0) ** 2
+
+    nu, nu_xh = math.inf, (pts[0], H0[0])
+    lam, lam_xh = -math.inf, (pts[0], H0[0])
+    traj = math.inf
+    theta = None if adjoint else 1.0
+    lip = _LipschitzPairs(problem, space, center, r)
+    for k, x in enumerate(pts):
+        J = _jacobian(problem, x)
+        lip.visit(k, x, J)
+        if adjoint:
+            tn = _matrix_norm(space, J.T)
+            theta = tn if theta is None else max(theta, tn)
+        B = J @ J.T if adjoint else J
+
+        fx = np.asarray(problem.f(x), dtype=float)
+        residual = bool(np.all(np.isfinite(fx))) and norm(space, fx) > 0.0
+        H = np.vstack([H0, fx]) if residual else H0
+        ratios = _acute_ratios(space, H, B)
+        i = int(np.argmin(ratios))
+        if ratios[i] < nu:
+            nu = float(ratios[i])
+            nu_xh = (x, H[i] / norm(space, H[i]))
+        if residual:
+            ratio = _acute_ratio(space, fx, B)
+            if ratio < traj:
+                traj = ratio
+
+        if lam < math.inf:
+            W = H0 @ B.T
+            num = semiscalar_rows(space, H0, W)
+            if minimal_quadratic:
+                den = space.sigma * norm_rows(space, W) ** 2
+                unbounded = den == 0.0
+            else:
+                unbounded = num <= 0.0
+            if np.any(unbounded):
+                lam = math.inf
+            else:
+                ratios = num / den if minimal_quadratic else h0_sq / (th * num)
+                i = int(np.argmax(ratios))
+                if ratios[i] > lam:
+                    lam = float(ratios[i])
+                    lam_xh = (x, H0[i])
+
+    if plan.refine:
+        def operator(x):
+            return _operator(problem, method, x)
+
+        def lam_objective(B, h):
+            w = B @ h
+            num = semiscalar_rows(space, h[None, :], w[None, :])[0]
+            if minimal_quadratic:
+                den = space.sigma * norm(space, w) ** 2
+                return num / den if den > 0 else math.inf
+            return norm(space, h) ** 2 / (th * num) if num > 0 else math.inf
+
+        if nu > 0.0:
+            nu = _polish(lambda B, h: _acute_ratio(space, h, B), operator,
+                         space, center, r, *nu_xh, minimize=True)
+        if np.isfinite(lam):
+            lam = _polish(lam_objective, operator, space, center, r,
+                          *lam_xh, minimize=False)
+    return Estimates(
+        nu_tilde=nu, lambda_tilde=lam,
+        nu_trajectory=traj if np.isfinite(traj) else None,
+        theta=theta, omega_lipschitz=lip.value())
 
 
 def estimate_nu_tilde(problem, method: MethodSpec, space: SpaceGeometry,
@@ -137,35 +369,7 @@ def estimate_nu_tilde(problem, method: MethodSpec, space: SpaceGeometry,
     A value <= 0 means a sampled direction already refutes the positive
     pairing assumption (or the operator annihilated a direction).
     """
-    if r > problem.R * (1.0 + 1e-9):
-        raise ArgumentError(f"r={r} exceeds problem radius R={problem.R}")
-    method.check_space(space)
-    rng = np.random.default_rng(plan.seed)
-    center = np.asarray(problem.x0, dtype=float)
-    pts = _ball_points(center, r, plan.n_points, rng, space)
-    H0 = _direction_set(len(center), plan.n_dirs, rng, space)
-
-    best = math.inf
-    best_xh = (pts[0], H0[0])
-    for x in pts:
-        B = _operator(problem, method, x)
-        H = H0
-        fx = np.asarray(problem.f(x), dtype=float)
-        # the trajectory direction is always sampled so that the residual
-        #  variant can never fall below this estimate on the same plan
-        if np.all(np.isfinite(fx)) and norm(space, fx) > 0.0:
-            H = np.vstack([H0, fx])
-        ratios = _acute_ratios(space, H, B)
-        i = int(np.argmin(ratios))
-        if ratios[i] < best:
-            best = float(ratios[i])
-            best_xh = (x.copy(), (H[i] / norm(space, H[i])).copy())
-    if plan.refine and best > 0.0:
-        def obj(x, h):
-            return float(_acute_ratios(space, h[None, :],
-                                       _operator(problem, method, x))[0])
-        best = _polish(obj, space, center, r, *best_xh, minimize=True)
-    return best
+    return sample_estimates(problem, method, space, r, plan).nu_tilde
 
 
 def estimate_lambda_tilde(problem, method: MethodSpec, space: SpaceGeometry,
@@ -177,46 +381,7 @@ def estimate_lambda_tilde(problem, method: MethodSpec, space: SpaceGeometry,
     and report ``inf`` as soon as a sampled pairing is nonpositive (the
     supremum is then unbounded).
     """
-    if r > problem.R * (1.0 + 1e-9):
-        raise ArgumentError(f"r={r} exceeds problem radius R={problem.R}")
-    method.check_space(space)
-    rng = np.random.default_rng(plan.seed)
-    center = np.asarray(problem.x0, dtype=float)
-    pts = _ball_points(center, r, plan.n_points, rng, space)
-    H = _direction_set(len(center), plan.n_dirs, rng, space)
-    th = method.effective_vartheta
-    minimal_quadratic = method.mu_family == "min"
-
-    best = -math.inf
-    best_xh = (pts[0], H[0])
-    for x in pts:
-        B = _operator(problem, method, x)
-        W = H @ B.T
-        num = semiscalar_rows(space, H, W)
-        if minimal_quadratic:
-            den = space.sigma * norm_rows(space, W) ** 2
-            if np.any(den == 0.0):
-                return math.inf
-            ratios = num / den
-        else:
-            if np.any(num <= 0.0):
-                return math.inf
-            ratios = norm_rows(space, H) ** 2 / (th * num)
-        i = int(np.argmax(ratios))
-        if ratios[i] > best:
-            best = float(ratios[i])
-            best_xh = (x.copy(), H[i].copy())
-    if plan.refine and np.isfinite(best):
-        def obj(x, h):
-            B = _operator(problem, method, x)
-            w = B @ h
-            num = semiscalar_rows(space, h[None, :], w[None, :])[0]
-            if minimal_quadratic:
-                den = space.sigma * norm(space, w) ** 2
-                return num / den if den > 0 else math.inf
-            return norm(space, h) ** 2 / (th * num) if num > 0 else math.inf
-        best = _polish(obj, space, center, r, *best_xh, minimize=False)
-    return best
+    return sample_estimates(problem, method, space, r, plan).lambda_tilde
 
 
 def estimate_nu_trajectory(problem, method: MethodSpec, space: SpaceGeometry,
@@ -226,31 +391,8 @@ def estimate_nu_trajectory(problem, method: MethodSpec, space: SpaceGeometry,
     Always at least as large as ``estimate_nu_tilde`` on the same plan,
     since the latter samples a superset of directions at every point.
     """
-    if r > problem.R * (1.0 + 1e-9):
-        raise ArgumentError(f"r={r} exceeds problem radius R={problem.R}")
-    method.check_space(space)
-    rng = np.random.default_rng(plan.seed)
-    center = np.asarray(problem.x0, dtype=float)
-    pts = _ball_points(center, r, plan.n_points, rng, space)
-    best = math.inf
-    for x in pts:
-        fx = np.asarray(problem.f(x), dtype=float)
-        if not np.all(np.isfinite(fx)) or norm(space, fx) == 0.0:
-            continue
-        B = _operator(problem, method, x)
-        ratio = float(_acute_ratios(space, fx[None, :], B)[0])
-        best = min(best, ratio)
-    if not np.isfinite(best):
-        raise ArgumentError("all sampled points have f(x) = 0; estimate undefined")
-    return best
-
-
-def _matrix_norm(space: SpaceGeometry, M: np.ndarray) -> float:
-    s = float(np.linalg.norm(M, 2))
-    if space.kind == EUCLIDEAN or space.p == 2.0:
-        return s
-    # p -> p induced norm upper bound via the spectral norm; safe direction
-    return s * M.shape[0] ** abs(0.5 - 1.0 / space.p)
+    return sample_estimates(problem, method, space, r,
+                            replace(plan, refine=False)).trajectory()
 
 
 def estimate_omega_lipschitz(problem, r: float, plan: SamplePlan,
@@ -259,35 +401,20 @@ def estimate_omega_lipschitz(problem, r: float, plan: SamplePlan,
 
     Pairs along each coordinate axis are always included, which recovers
     the exact constant for Jacobians whose worst variation is axis-aligned.
+    Needs no method, so it samples the ball points alone.
     """
     if space is None:
         space = SpaceGeometry(EUCLIDEAN)
-    if r > problem.R * (1.0 + 1e-9):
-        raise ArgumentError(f"r={r} exceeds problem radius R={problem.R}")
+    _check_radius(problem, r)
     rng = np.random.default_rng(plan.seed)
     center = np.asarray(problem.x0, dtype=float)
-    dim = len(center)
-    pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    eye = np.eye(dim)
-    for i in range(dim):
-        for t in (1.0, 0.5, 0.25):
-            pairs.append((center, center + t * r * eye[i]))
-            pairs.append((center, center - t * r * eye[i]))
-    pts = _ball_points(center, r, plan.n_points, rng, space)
-    pairs.extend(zip(pts[:-1], pts[1:]))
-
-    best = 0.0
-    n_used = 0
-    for x1, x2 in pairs:
-        dist = norm(space, x1 - x2)
-        if dist <= 1e-14 * (1.0 + norm(space, x1)):
-            continue
-        D = np.asarray(problem.jacobian(x1), float) - np.asarray(problem.jacobian(x2), float)
-        best = max(best, _matrix_norm(space, D) / dist)
-        n_used += 1
-    if n_used < 1:
-        raise ArgumentError("need at least two distinct sample points")
-    return best
+    lip = _LipschitzPairs(problem, space, center, r)
+    for k, x in enumerate(_ball_points(center, r, plan.n_points, rng, space)):
+        lip.visit(k, x, _jacobian(problem, x))
+    L = lip.value()
+    if L is None:
+        raise ArgumentError(_NO_DISTINCT_PAIR)
+    return L
 
 
 def estimate_theta(problem, method: MethodSpec, space: SpaceGeometry,
@@ -295,12 +422,8 @@ def estimate_theta(problem, method: MethodSpec, space: SpaceGeometry,
     """Bound on ||T(x)||: exactly 1 for identity T, sampled max matrix norm otherwise."""
     if not method.uses_adjoint:
         return 1.0
-    method.check_space(space)
-    rng = np.random.default_rng(plan.seed)
-    center = np.asarray(problem.x0, dtype=float)
-    pts = _ball_points(center, r, plan.n_points, rng, space)
-    return max(_matrix_norm(space, np.asarray(problem.jacobian(x), float).T)
-               for x in pts)
+    return sample_estimates(problem, method, space, r,
+                            replace(plan, refine=False)).theta
 
 
 def estimated_bound_data(problem, method: MethodSpec, space: SpaceGeometry,
@@ -313,18 +436,17 @@ def estimated_bound_data(problem, method: MethodSpec, space: SpaceGeometry,
     """
     if r is None:
         r = problem.R
-    nu = estimate_nu_tilde(problem, method, space, r, plan)
+    est = sample_estimates(problem, method, space, r, plan)
+    nu = est.nu_tilde
     if nu <= 0.0:
         raise AssumptionError(
             f"sampled acuteness estimate {nu:.6g} <= 0: positive-pairing "
             "assumption fails on the sampled ball")
-    lam = estimate_lambda_tilde(problem, method, space, r, plan)
-    if not np.isfinite(lam):
+    if not np.isfinite(est.lambda_tilde):
         raise AssumptionError("sampled step-size bound is unbounded")
-    theta = estimate_theta(problem, method, space, r, plan)
-    L = estimate_omega_lipschitz(problem, r, plan, space)
     return BoundData(
-        lam=lam, theta=theta, omega=LipschitzModulus(L), R=problem.R,
+        lam=est.lambda_tilde, theta=est.theta,
+        omega=LipschitzModulus(est.lipschitz()), R=problem.R,
         nu=min(nu, 1.0), step_family=method.mu_family,
         vartheta=method.effective_vartheta,
         note=("sampled estimates at r={:.6g}: nu is an upper estimate of the "

@@ -270,11 +270,12 @@ def chandrasekhar(c: float = 0.5, n: int = 20, R: float = 2.0) -> Problem:
         with np.errstate(divide="ignore", invalid="ignore"):
             return H - 1.0 / (1.0 - g)
 
-    def jacobian(H, _K=K, _n=n):
+    def jacobian(H, _K=K, _I=np.eye(n)):
         g = _K @ H
         with np.errstate(divide="ignore", invalid="ignore"):
             s = 1.0 / (1.0 - g)
-        return np.eye(_n) - (s * s)[:, None] * _K
+        J = (s * s)[:, None] * _K
+        return np.subtract(_I, J, out=J)
 
     return Problem(
         name="chandrasekhar", dim=n, f=f, jacobian=jacobian,

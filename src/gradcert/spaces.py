@@ -20,6 +20,7 @@ properties of the semiscalar product, on a seeded sample set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,17 +75,30 @@ def _vec(x) -> np.ndarray:
 def _pnorm(v: np.ndarray, p: float) -> float:
     # rescale by the largest entry so |v_i|**p cannot under- or overflow
     m = float(np.max(np.abs(v)))
-    if m == 0.0:
-        return 0.0
+    if m == 0.0 or not math.isfinite(m):
+        return m
     return m * float(np.sum(np.abs(v / m) ** p)) ** (1.0 / p)
 
 
 def norm(space: SpaceGeometry, x) -> float:
-    """||x|| in the space norm (2-norm or p-norm)."""
-    v = _vec(x)
+    """||x|| in the space norm (2-norm or p-norm).
+
+    The entries are checked only when the norm is not finite, which is the
+    only case a non-finite entry can produce; the estimator's polish calls
+    this once per candidate, where the full check would dominate.
+    """
+    v = np.asarray(x, dtype=float)
+    if v.ndim != 1 or v.size < 1:
+        raise ArgumentError("expected a nonempty 1-d vector")
     if space.kind == EUCLIDEAN:
-        return float(np.linalg.norm(v))
-    return _pnorm(v, space.p)
+        # what np.linalg.norm computes for a real vector, bit for bit
+        w = v.ravel(order="K")
+        nv = math.sqrt(w.dot(w))
+    else:
+        nv = _pnorm(v, space.p)
+    if not math.isfinite(nv):
+        _vec(v)  # raises on a non-finite entry; an overflowed norm stays inf
+    return nv
 
 
 def dual_norm(space: SpaceGeometry, x) -> float:

@@ -1,10 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gradcert as gc
+from gradcert import estimator
 from gradcert.errors import ArgumentError, AssumptionError
+from gradcert.estimator import estimate_theta
 
 EUC = gc.euclidean()
 MR = gc.MethodSpec(gc.MIN_RESIDUAL)
@@ -159,3 +163,139 @@ def test_estimator_rejects_radius_beyond_ball():
     plan = gc.SamplePlan(seed=16, n_points=4, n_dirs=16)
     with pytest.raises(ArgumentError):
         gc.estimate_nu_tilde(gc.quad2d(), MR, EUC, 2.0, plan)
+
+
+# --- one sampling pass: values and work --------------------------------------
+
+SHIPPED_PLAN = gc.SamplePlan(seed=7, n_points=64, n_dirs=128, refine=True)
+
+
+def _counting(problem):
+    calls = [0]
+
+    def jacobian(x, _jac=problem.jacobian):
+        calls[0] += 1
+        return _jac(x)
+    return dataclasses.replace(problem, jacobian=jacobian), calls
+
+
+@pytest.mark.parametrize("problem, method, space, expected", [
+    # values of the per-estimate sampling loops that the one pass replaced;
+    # the pass makes the same arithmetic, so they must not move
+    (gc.chandrasekhar(0.5, 20), SD, EUC,
+     (0.9812084510737715, 1.248846120009825, 0.9947057706458378, 1.0,
+      0.007535835344234994)),
+    (gc.linear_spd(1, 3, 3), gc.MethodSpec(gc.BANACH_MIN_RESIDUAL), gc.sequence_p(4),
+     (0.6846325042023059, 0.3333333333333333, 0.6855328440985307, 1.0, 0.0)),
+    (gc.linear_spd(1, 3, 3), gc.MethodSpec(gc.MIN_CO_ERROR), EUC,
+     (0.600000000000001, 1.0, 0.6394463287868006, 3.0, 0.0)),
+], ids=["chandrasekhar20-sd", "spd3-lp4-banach-minres", "spd3-min-co-error"])
+def test_sample_estimates_values_pinned(problem, method, space, expected):
+    est = gc.sample_estimates(problem, method, space, problem.R, SHIPPED_PLAN)
+    got = (est.nu_tilde, est.lambda_tilde, est.nu_trajectory, est.theta,
+           est.omega_lipschitz)
+    # rel=1e-15 rather than ==, so that another BLAS may round differently
+    assert got == pytest.approx(expected, rel=1e-15, abs=0.0)
+    # the public readers return the record's values
+    r = problem.R
+    assert gc.estimate_nu_tilde(problem, method, space, r, SHIPPED_PLAN) == est.nu_tilde
+    assert gc.estimate_lambda_tilde(problem, method, space, r, SHIPPED_PLAN) == est.lambda_tilde
+    assert gc.estimate_nu_trajectory(problem, method, space, r, SHIPPED_PLAN) == est.nu_trajectory
+    assert estimate_theta(problem, method, space, r, SHIPPED_PLAN) == est.theta
+    assert gc.estimate_omega_lipschitz(problem, r, SHIPPED_PLAN, space) == est.omega_lipschitz
+    bounds = gc.estimated_bound_data(problem, method, space, SHIPPED_PLAN)
+    assert (bounds.lam, bounds.theta, bounds.omega.constant(r)) == (
+        est.lambda_tilde, est.theta, est.omega_lipschitz)
+
+
+def test_failed_assumptions_report_acuteness_first():
+    # both assumptions fail on the indefinite problem; the pass still
+    # completes, and estimated_bound_data names the acuteness failure first
+    p, plan = gc.indefinite2d(), gc.SamplePlan(seed=5, n_points=4, n_dirs=64)
+    est = gc.sample_estimates(p, SD, EUC, 1.0, plan)
+    assert est.nu_tilde <= 0.0 and math.isinf(est.lambda_tilde)
+    with pytest.raises(AssumptionError, match="acuteness"):
+        gc.estimated_bound_data(p, SD, EUC, plan, r=1.0)
+
+
+def test_estimator_jacobian_work_is_counted():
+    # bound data plus a trajectory estimate: one full pass and one pass
+    # without polishing (the trajectory ratio needs none)
+    n = 20
+    p, calls = _counting(gc.chandrasekhar(0.5, n))
+    gc.estimated_bound_data(p, SD, EUC, SHIPPED_PLAN)
+    gc.estimate_nu_trajectory(p, SD, EUC, p.R, SHIPPED_PLAN)
+    assert calls[0] == 3572
+    # without polishing: once per ball point (1 + 2n + 64) and once per
+    # half- and quarter-radius axis point (4n)
+    calls[0] = 0
+    gc.sample_estimates(p, SD, EUC, p.R, dataclasses.replace(SHIPPED_PLAN, refine=False))
+    sampling = calls[0]
+    assert sampling == (1 + 2 * n + 64) + 4 * n
+    # each of the two polishes builds one operator, then one per point
+    # candidate: at most 2n candidates in each of 40 sweeps
+    calls[0] = 0
+    gc.sample_estimates(p, SD, EUC, p.R, SHIPPED_PLAN)
+    assert calls[0] - sampling <= 2 * (1 + 40 * 2 * n)
+
+
+def test_estimate_theta_rejects_radius_beyond_ball():
+    plan = gc.SamplePlan(seed=16, n_points=4, n_dirs=16)
+    with pytest.raises(ArgumentError):
+        estimate_theta(gc.quad2d(), gc.MethodSpec(gc.MIN_CO_ERROR), EUC, 2.0, plan)
+
+
+@pytest.mark.parametrize("r", [-0.5, math.nan])
+def test_estimator_rejects_negative_or_nan_radius(r):
+    plan = gc.SamplePlan(seed=16, n_points=4, n_dirs=16)
+    with pytest.raises(ArgumentError):
+        gc.sample_estimates(gc.quad2d(), MR, EUC, r, plan)
+    with pytest.raises(ArgumentError):
+        gc.estimate_omega_lipschitz(gc.quad2d(), r, plan)
+
+
+def test_zero_radius_has_no_lipschitz_pair():
+    plan = gc.SamplePlan(seed=16, n_points=4, n_dirs=16)
+    with pytest.raises(ArgumentError):
+        gc.estimate_omega_lipschitz(gc.quad2d(), 0.0, plan)
+
+
+@pytest.mark.parametrize("space", [EUC, gc.sequence_p(3), gc.sequence_p(6)],
+                         ids=["euclidean", "p3", "p6"])
+def test_one_row_acute_ratio_matches_row_kernel(space):
+    rng = np.random.default_rng(17)
+    for dim in (2, 5, 20, 80):
+        B = rng.standard_normal((dim, dim))
+        for _ in range(20):
+            h = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3)
+            assert (estimator._acute_ratio(space, h, B)
+                    == estimator._acute_ratios(space, h[None, :], B)[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+       scale=st.floats(-6, 6), seed=st.integers(0, 2**32 - 1),
+       space=st.sampled_from([EUC, gc.sequence_p(3), gc.sequence_p(6)]))
+def test_matrix_norm_bound_is_an_upper_bound(shape, scale, seed, space):
+    # the Lipschitz pass skips the SVD of a pair when this bound cannot
+    # raise the maximum, so the bound must hold in floating point too
+    M = np.random.default_rng(seed).standard_normal(shape) * 10.0 ** scale
+    bound = estimator._matrix_norm_bound(space, M)
+    assert bound * (1.0 + 1e-12) >= estimator._matrix_norm(space, M)
+
+
+@pytest.mark.parametrize("space", [EUC, gc.sequence_p(3)], ids=["euclidean", "p3"])
+def test_omega_lipschitz_screening_keeps_the_exact_maximum(space):
+    # every pair's quotient by a full SVD, no screening: the maximum must be
+    # the same bit for bit
+    p = gc.chandrasekhar(0.5, 8)
+    plan = gc.SamplePlan(seed=21, n_points=32, n_dirs=4)
+    r, center = 1.5, p.x0
+    pts = estimator._ball_points(center, r, plan.n_points,
+                                 np.random.default_rng(plan.seed), space)
+    pairs = [(center, center + t * r * e) for e in np.eye(8) for t in (1.0, 0.5, 0.25)]
+    pairs += [(center, center - t * r * e) for e in np.eye(8) for t in (1.0, 0.5, 0.25)]
+    pairs += list(zip(pts[:-1], pts[1:]))
+    expected = max(estimator._matrix_norm(space, p.jacobian(a) - p.jacobian(b))
+                   / gc.norm(space, a - b) for a, b in pairs)
+    assert gc.estimate_omega_lipschitz(p, r, plan, space) == expected

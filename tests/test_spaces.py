@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import gradcert as gc
 from gradcert.errors import ArgumentError
-from gradcert.spaces import _AXIOM_BLOCK, _sample_blocks, _structured_pairs
+from gradcert.spaces import _AXIOM_BLOCK, _pnorm, _sample_blocks, _structured_pairs
 
 P_VALUES = [2.0, 2.5, 3.0, 4.0, 7.0]
 
@@ -44,6 +44,24 @@ def test_norm_rejects_nonfinite():
         gc.norm(gc.euclidean(), [1.0, math.nan])
     with pytest.raises(ArgumentError):
         gc.norm(gc.sequence_p(2), [math.inf, 0.0])
+
+
+def test_norm_matches_numpy_bit_for_bit():
+    # norm checks the entries only when the result is not finite, so its
+    # values must still be numpy's, for contiguous and strided vectors alike
+    rng = np.random.default_rng(3)
+    euc, lp = gc.euclidean(), gc.sequence_p(3)
+    for dim in (1, 2, 7, 80):
+        M = rng.standard_normal((dim, dim)) * 10.0 ** rng.uniform(-3, 3)
+        for v in (M[0], M[:, 0], M[0, ::-1]):
+            assert gc.norm(euc, v) == float(np.linalg.norm(v))
+            assert gc.norm(lp, v) == _pnorm(np.ascontiguousarray(v), 3.0)
+    # an overflowing sum of squares is inf, as in numpy, not an error
+    with np.errstate(over="ignore"):
+        assert gc.norm(euc, [1e200, 1e200]) == math.inf
+    for bad in ([math.nan, 1.0], [-math.inf, 1.0]):
+        with pytest.raises(ArgumentError):
+            gc.norm(lp, bad)
 
 
 def test_space_geometry_validation():
