@@ -13,7 +13,12 @@ Diff the output for two checkouts; an empty diff means every report, trace
 and exit code is byte-identical.  A report that goes to standard output
 (no ``report_path``) is digested from there.
 
-Usage: python scripts/fixed_clock_digest.py CHECKOUT [CONFIG ...]
+With ``--bench-seeds S ...`` the case configs of every benchmark workload
+at each seed S are added, built from this repository's
+``bench/workloads.py`` and written with the output names ``report.json``
+and ``trace.csv``, so both checkouts run the same files.
+
+Usage: python scripts/fixed_clock_digest.py CHECKOUT [CONFIG ...] [--bench-seeds S ...]
        (default configs: CHECKOUT/configs/*.json)
 """
 
@@ -28,6 +33,7 @@ import tempfile
 from pathlib import Path
 
 COMMANDS = ("estimate", "certify", "solve", "verify-space")
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def _sha(data: bytes) -> str:
@@ -60,16 +66,37 @@ def digest(checkout: Path, configs: list[Path]) -> list[str]:
     return lines
 
 
+def bench_configs(seeds: list[int], out: Path) -> list[Path]:
+    """Write every benchmark case config at each seed into ``out``."""
+    sys.path.insert(0, str(BENCH))
+    import workloads
+
+    paths = []
+    for name in workloads.WORKLOADS:
+        for seed in seeds:
+            for case in workloads.build(name, seed):
+                path = out / f"{name}-s{seed}-{case.name}.json"
+                path.write_text(json.dumps(dict(
+                    case.config,
+                    output={"report_path": "report.json", "trace_path": "trace.csv"})))
+                paths.append(path)
+    return paths
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", type=Path)
     parser.add_argument("configs", type=Path, nargs="*")
+    parser.add_argument("--bench-seeds", type=int, nargs="+", default=[],
+                        help="add the benchmark case configs at these seeds")
     args = parser.parse_args()
     checkout = args.checkout.resolve()
     configs = [c.resolve() for c in args.configs] or sorted(
         (checkout / "configs").glob("*.json"))
-    for line in digest(checkout, configs):
-        print(line)
+    with tempfile.TemporaryDirectory() as tmp:
+        configs += bench_configs(args.bench_seeds, Path(tmp))
+        for line in digest(checkout, configs):
+            print(line)
     return 0
 
 

@@ -14,6 +14,8 @@ byte-reproducible for a fixed config and seed when --fixed-clock is set.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import copy
 import csv
 import dataclasses
 import json
@@ -34,31 +36,52 @@ EXIT_VIOLATIONS = 2
 EXIT_NOT_CONVERGED = 3
 EXIT_BREAKDOWN = 4
 
-_SCHEMA = {
-    "problem": {"name", "params"},
-    "method": {"family", "vartheta"},
-    "space": {"kind", "p"},
-    "bounds": {"mode", "explicit", "plan"},
-    "run": {"res_tol", "max_iter", "seed", "samples"},
-    "output": {"report_path", "trace_path"},
+# Every config key with its default; other keys are rejected.  The resolved
+# config fills in each section.  bounds.explicit and bounds.plan stay as
+# given, or None, and their defaults apply where they are read (plan.seed is
+# run.seed, explicit.R the problem's R); problem.params is free-form.
+_DEFAULTS = {
+    "problem": {"name": None, "params": {}},
+    "method": {"family": None, "vartheta": 1.0},
+    "space": {"kind": "euclidean", "p": 2.0},
+    "bounds": {
+        "mode": "certified",
+        "explicit": {"mu": None, "nu": None, "step_family": None, "lam": 1.0,
+                     "theta": 1.0, "R": None,
+                     "omega": {"family": "lipschitz", "L": 0.0, "alpha": 1.0,
+                               "ts": None, "ws": None}},
+        "plan": {"seed": None, "n_points": 32, "n_dirs": 64, "refine": True},
+    },
+    "run": {"res_tol": 1e-10, "max_iter": 500, "seed": 0, "samples": 100000},
+    "output": {"report_path": None, "trace_path": None},
 }
-_EXPLICIT_KEYS = {"mu", "nu", "step_family", "lam", "theta", "omega", "R"}
-_OMEGA_KEYS = {"family", "L", "alpha", "ts", "ws"}
-_PLAN_KEYS = {"seed", "n_points", "n_dirs", "refine"}
 
 
 class ConfigError(Exception):
     """Configuration problem with a config-path-qualified message."""
 
 
-def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
+def _check_keys(obj: dict, table: dict, path: str) -> None:
+    """Reject a non-object or an unknown key at ``path``, then the objects it gives."""
     if not isinstance(obj, dict):
         raise ConfigError(f"config error at {path}: expected an object")
-    unknown = set(obj) - allowed
+    unknown = set(obj) - set(table)
     if unknown:
         raise ConfigError(
             f"config error at {path}: unknown key(s) {sorted(unknown)}; "
-            f"allowed: {sorted(allowed)}")
+            f"allowed: {sorted(table)}")
+    for key, default in table.items():
+        if isinstance(default, dict) and default and obj.get(key) is not None:
+            _check_keys(obj[key], default, f"{path}.{key}")
+
+
+@contextlib.contextmanager
+def _at(path: str):
+    """Report a bad config value below ``path`` as a ConfigError naming it."""
+    try:
+        yield
+    except (ArgumentError, TypeError, ValueError) as exc:
+        raise ConfigError(f"config error at {path}: {exc}")
 
 
 def load_config(path: str) -> dict:
@@ -69,39 +92,19 @@ def load_config(path: str) -> dict:
         raise ConfigError(
             f"config parse error in {path} at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}")
-    _check_keys(cfg, set(_SCHEMA), "<root>")
-    for section, keys in _SCHEMA.items():
+    _check_keys(cfg, dict.fromkeys(_DEFAULTS), "<root>")
+    for section, table in _DEFAULTS.items():
         if section in cfg:
-            _check_keys(cfg[section], keys, section)
-    for sub, keys in (("explicit", _EXPLICIT_KEYS), ("plan", _PLAN_KEYS)):
-        node = cfg.get("bounds", {}).get(sub)
-        if node is not None:
-            _check_keys(node, keys, f"bounds.{sub}")
-    om = cfg.get("bounds", {}).get("explicit", {}).get("omega")
-    if om is not None:
-        _check_keys(om, _OMEGA_KEYS, "bounds.explicit.omega")
+            _check_keys(cfg[section], table, section)
     return cfg
 
 
 def _resolved(cfg: dict, seed_override: int | None) -> dict:
     """Fill defaults so the embedded config fully describes the run."""
-    out = {
-        "problem": {"name": cfg.get("problem", {}).get("name"),
-                    "params": cfg.get("problem", {}).get("params", {})},
-        "method": {"family": cfg.get("method", {}).get("family"),
-                   "vartheta": cfg.get("method", {}).get("vartheta", 1.0)},
-        "space": {"kind": cfg.get("space", {}).get("kind", "euclidean"),
-                  "p": cfg.get("space", {}).get("p", 2.0)},
-        "bounds": {"mode": cfg.get("bounds", {}).get("mode", "certified"),
-                   "explicit": cfg.get("bounds", {}).get("explicit"),
-                   "plan": cfg.get("bounds", {}).get("plan")},
-        "run": {"res_tol": cfg.get("run", {}).get("res_tol", 1e-10),
-                "max_iter": cfg.get("run", {}).get("max_iter", 500),
-                "seed": cfg.get("run", {}).get("seed", 0),
-                "samples": cfg.get("run", {}).get("samples", 100000)},
-        "output": {"report_path": cfg.get("output", {}).get("report_path"),
-                   "trace_path": cfg.get("output", {}).get("trace_path")},
-    }
+    out = {section: {key: cfg.get(section, {}).get(key, copy.copy(default))
+                     for key, default in table.items()}
+           for section, table in _DEFAULTS.items()}
+    out["bounds"].update({k: cfg.get("bounds", {}).get(k) for k in ("explicit", "plan")})
     if seed_override is not None:
         out["run"]["seed"] = int(seed_override)
         if out["bounds"]["plan"] is not None:
@@ -111,80 +114,69 @@ def _resolved(cfg: dict, seed_override: int | None) -> dict:
 
 def _build_space(rc: dict) -> spaces.SpaceGeometry:
     kind = rc["space"]["kind"]
-    try:
+    with _at("space"):
         if kind == spaces.EUCLIDEAN:
             return spaces.euclidean()
         if kind == spaces.SEQUENCE_P:
             return spaces.sequence_p(float(rc["space"]["p"]))
-    except ArgumentError as exc:
-        raise ConfigError(f"config error at space: {exc}")
     raise ConfigError(f"config error at space.kind: unknown kind {kind!r}")
 
 
-def _build_problem(rc: dict) -> problems.Problem:
+def _build(rc: dict) -> tuple[problems.Problem, spaces.SpaceGeometry, methods.MethodSpec]:
+    """The problem, space and method of a run, with the method checked against the space."""
     name = rc["problem"]["name"]
     if not name:
         raise ConfigError("config error at problem.name: required")
-    try:
-        return problems.make_problem(name, **rc["problem"]["params"])
-    except ArgumentError as exc:
-        raise ConfigError(f"config error at problem: {exc}")
-
-
-def _build_method(rc: dict) -> methods.MethodSpec:
+    with _at("problem"):
+        problem = problems.make_problem(name, **rc["problem"]["params"])
+    space = _build_space(rc)
     fam = rc["method"]["family"]
     if not fam:
         raise ConfigError("config error at method.family: required")
-    try:
-        return methods.MethodSpec(family=fam, vartheta=float(rc["method"]["vartheta"]))
-    except ArgumentError as exc:
-        raise ConfigError(f"config error at method: {exc}")
+    with _at("method"):
+        method = methods.MethodSpec(family=fam, vartheta=float(rc["method"]["vartheta"]))
+    with _at("method/space"):
+        method.check_space(space)
+    return problem, space, method
 
 
 def _build_plan(rc: dict) -> estimator.SamplePlan:
-    plan = rc["bounds"]["plan"] or {}
-    try:
+    plan = {**_DEFAULTS["bounds"]["plan"], "seed": rc["run"]["seed"],
+            **(rc["bounds"]["plan"] or {})}
+    with _at("bounds.plan"):
         return estimator.SamplePlan(
-            seed=int(plan.get("seed", rc["run"]["seed"])),
-            n_points=int(plan.get("n_points", 32)),
-            n_dirs=int(plan.get("n_dirs", 64)),
-            refine=bool(plan.get("refine", True)))
-    except ArgumentError as exc:
-        raise ConfigError(f"config error at bounds.plan: {exc}")
+            seed=int(plan["seed"]), n_points=int(plan["n_points"]),
+            n_dirs=int(plan["n_dirs"]), refine=bool(plan["refine"]))
 
 
 def _explicit_bounds(rc: dict, problem, method) -> majorant.BoundData:
-    ex = rc["bounds"]["explicit"]
-    if ex is None:
+    given = rc["bounds"]["explicit"]
+    if given is None:
         raise ConfigError("config error at bounds.explicit: required for mode=explicit")
-    om = ex.get("omega") or {"family": "lipschitz", "L": 0.0}
-    fam = om.get("family", "lipschitz")
-    try:
+    defaults = _DEFAULTS["bounds"]["explicit"]
+    ex = {**defaults, "R": problem.R, **given}
+    om = {**defaults["omega"], **(ex["omega"] or {})}
+    fam = om["family"]
+    with _at("bounds.explicit"):
         if fam == "lipschitz":
-            omega = majorant.LipschitzModulus(float(om.get("L", 0.0)))
+            omega = majorant.LipschitzModulus(float(om["L"]))
         elif fam == "holder":
-            omega = majorant.HolderModulus(float(om.get("L", 0.0)),
-                                           float(om.get("alpha", 1.0)))
+            omega = majorant.HolderModulus(float(om["L"]), float(om["alpha"]))
         elif fam == "tabulated":
-            omega = majorant.TabulatedModulus(om.get("ts"), om.get("ws"))
+            omega = majorant.TabulatedModulus(om["ts"], om["ws"])
         else:
             raise ConfigError(
                 f"config error at bounds.explicit.omega.family: unknown {fam!r}")
         kwargs: dict[str, Any] = {}
-        if "mu" in ex:
-            kwargs["mu"] = float(ex["mu"])
-        if "nu" in ex:
-            kwargs["nu"] = float(ex["nu"])
-            kwargs["step_family"] = ex.get("step_family", method.mu_family)
+        if "mu" in given:
+            kwargs["mu"] = float(given["mu"])
+        if "nu" in given:
+            kwargs["nu"] = float(given["nu"])
+            kwargs["step_family"] = given.get("step_family", method.mu_family)
             kwargs["vartheta"] = method.effective_vartheta
         return majorant.BoundData(
-            lam=float(ex.get("lam", 1.0)), theta=float(ex.get("theta", 1.0)),
-            omega=omega, R=float(ex.get("R", problem.R)),
+            lam=float(ex["lam"]), theta=float(ex["theta"]), omega=omega, R=float(ex["R"]),
             note="explicit constants from the run configuration", **kwargs)
-    except (ArgumentError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"config error at bounds.explicit: {exc}")
 
 
 def _resolve_bounds(rc, problem, method, space):
@@ -197,10 +189,8 @@ def _resolve_bounds(rc, problem, method, space):
             raise ConfigError(
                 f"config error at bounds.mode: problem {problem.name!r} ships no "
                 "certified bounds; use estimated or explicit")
-        try:
+        with _at("bounds"):
             return problem.certified_bounds.bound_data(method, space.sigma), "certified"
-        except ArgumentError as exc:
-            raise ConfigError(f"config error at bounds: {exc}")
     if mode == "estimated":
         plan = _build_plan(rc)
         try:
@@ -222,20 +212,14 @@ def _jsonable(obj):
     if isinstance(obj, np.integer):
         return int(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
+        # a field left out of repr (the certificate's relaxation map) is not reported
+        return {f.name: _jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj) if f.repr}
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     return obj
-
-
-def _cert_dict(cert: majorant.MajorantCertificate | None):
-    """The certificate's reported fields; its relaxation map is not reported."""
-    if cert is None:
-        return None
-    return {f.name: _jsonable(getattr(cert, f.name))
-            for f in dataclasses.fields(cert) if f.name != "relaxation"}
 
 
 def _write_report(report: dict, rc: dict, fixed_clock: bool) -> None:
@@ -284,22 +268,19 @@ def _trace_summary(trace: methods.IterationTrace) -> dict:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _certify(problem, space, bounds) -> majorant.MajorantCertificate:
+    """The certificate for the run from the problem's x0 (a = ||f(x0)||)."""
+    a = spaces.norm(space, np.asarray(problem.f(problem.x0), float))
+    return majorant.certify(bounds, space.sigma, a)
+
+
 def cmd_solve(rc: dict, fixed_clock: bool) -> int:
-    problem = _build_problem(rc)
-    space = _build_space(rc)
-    method = _build_method(rc)
-    try:
-        method.check_space(space)
-    except ArgumentError as exc:
-        raise ConfigError(f"config error at method/space: {exc}")
+    problem, space, method = _build(rc)
     bounds, bounds_note = _resolve_bounds(rc, problem, method, space)
     stop = methods.StopRule(res_tol=float(rc["run"]["res_tol"]),
                             max_iter=int(rc["run"]["max_iter"]))
 
-    cert = None
-    if bounds is not None:
-        a = spaces.norm(space, np.asarray(problem.f(problem.x0), float))
-        cert = majorant.certify(bounds, space.sigma, a)
+    cert = None if bounds is None else _certify(problem, space, bounds)
     attach = cert is not None and cert.feasible
     trace = methods.solve(problem, method, space, stop,
                           certificate=cert if attach else None,
@@ -326,9 +307,9 @@ def cmd_solve(rc: dict, fixed_clock: bool) -> int:
     _write_report({
         "command": "solve",
         "bounds_note": bounds_note,
-        "certificate": _cert_dict(cert),
+        "certificate": cert,
         "trace": _trace_summary(trace),
-        "verification": None if verification is None else _jsonable(verification),
+        "verification": verification,
         "empirical_rates": rates,
         "exit_status": status,
     }, rc, fixed_clock)
@@ -336,17 +317,14 @@ def cmd_solve(rc: dict, fixed_clock: bool) -> int:
 
 
 def cmd_certify(rc: dict, fixed_clock: bool) -> int:
-    problem = _build_problem(rc)
-    space = _build_space(rc)
-    method = _build_method(rc)
+    problem, space, method = _build(rc)
     bounds, bounds_note = _resolve_bounds(rc, problem, method, space)
     if bounds is None:
         _write_report({"command": "certify", "bounds_note": bounds_note,
                        "certificate": None, "exit_status": EXIT_VIOLATIONS},
                       rc, fixed_clock)
         return EXIT_VIOLATIONS
-    a = spaces.norm(space, np.asarray(problem.f(problem.x0), float))
-    cert = majorant.certify(bounds, space.sigma, a)
+    cert = _certify(problem, space, bounds)
     apriori = None
     if cert.feasible:
         n_table = min(int(rc["run"]["max_iter"]), 25)
@@ -356,7 +334,7 @@ def cmd_certify(rc: dict, fixed_clock: bool) -> int:
     _write_report({
         "command": "certify",
         "bounds_note": bounds_note,
-        "certificate": _cert_dict(cert),
+        "certificate": cert,
         "apriori_bounds": apriori,
         "exit_status": status,
     }, rc, fixed_clock)
@@ -364,9 +342,7 @@ def cmd_certify(rc: dict, fixed_clock: bool) -> int:
 
 
 def cmd_estimate(rc: dict, fixed_clock: bool) -> int:
-    problem = _build_problem(rc)
-    space = _build_space(rc)
-    method = _build_method(rc)
+    problem, space, method = _build(rc)
     plan = _build_plan(rc)
     est = estimator.sample_estimates(problem, method, space, problem.R, plan)
     nu, lam, nu_traj = est.nu_tilde, est.lambda_tilde, est.nu_trajectory
@@ -441,13 +417,16 @@ def cmd_list_problems() -> int:
     return EXIT_OK
 
 
+_COMMANDS = {"solve": cmd_solve, "certify": cmd_certify, "estimate": cmd_estimate,
+             "verify-space": cmd_verify_space}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="gradcert",
         description="Residual-driven iterative solvers with majorant certificates")
     parser.add_argument("command",
-                        choices=["solve", "certify", "estimate", "verify-space",
-                                 "list-problems"])
+                        choices=[*_COMMANDS, "list-problems"])
     parser.add_argument("--config", help="path to the JSON run configuration")
     parser.add_argument("--seed", type=int, default=None,
                         help="override run.seed and bounds.plan.seed")
@@ -461,15 +440,8 @@ def main(argv=None) -> int:
         print("config error: --config is required for this command", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        cfg = load_config(args.config)
-        rc = _resolved(cfg, args.seed)
-        if args.command == "solve":
-            return cmd_solve(rc, args.fixed_clock)
-        if args.command == "certify":
-            return cmd_certify(rc, args.fixed_clock)
-        if args.command == "estimate":
-            return cmd_estimate(rc, args.fixed_clock)
-        return cmd_verify_space(rc, args.fixed_clock)
+        rc = _resolved(load_config(args.config), args.seed)
+        return _COMMANDS[args.command](rc, args.fixed_clock)
     except (ConfigError, FileNotFoundError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,17 +34,29 @@ BANACH_MIN_RESIDUAL = "banach_min_residual"
 BANACH_STEEPEST_DESCENT = "banach_steepest_descent"
 BANACH_ALTMAN_STEEPEST_DESCENT = "banach_altman_steepest_descent"
 
-HILBERT_FAMILIES = (
-    MIN_RESIDUAL, MIN_CO_ERROR, STEEPEST_DESCENT,
-    ALTMAN_STEEPEST_DESCENT, MIN_ERROR, ALTMAN_MIN_ERROR,
-)
-BANACH_FAMILIES = (
-    BANACH_MIN_RESIDUAL, BANACH_STEEPEST_DESCENT, BANACH_ALTMAN_STEEPEST_DESCENT,
-)
-ALL_FAMILIES = HILBERT_FAMILIES + BANACH_FAMILIES
 
-_ADJOINT_FAMILIES = frozenset({MIN_CO_ERROR, MIN_ERROR, ALTMAN_MIN_ERROR})
-_MIN_QUADRATIC_FAMILIES = frozenset({MIN_RESIDUAL, MIN_CO_ERROR, BANACH_MIN_RESIDUAL})
+class _Rule(NamedTuple):
+    adjoint: bool     # T = f'^T, else T = I
+    minimising: bool  # the quadratic-minimising step scalar, else the relaxed one
+    relaxed: bool     # an Altman variant: vartheta scales the denominator
+
+
+# The banach_* names are the rules of their Hilbert counterparts, admitted in l_p.
+_RULES = {
+    MIN_RESIDUAL: _Rule(False, True, False),
+    MIN_CO_ERROR: _Rule(True, True, False),
+    STEEPEST_DESCENT: _Rule(False, False, False),
+    ALTMAN_STEEPEST_DESCENT: _Rule(False, False, True),
+    MIN_ERROR: _Rule(True, False, False),
+    ALTMAN_MIN_ERROR: _Rule(True, False, True),
+    BANACH_MIN_RESIDUAL: _Rule(False, True, False),
+    BANACH_STEEPEST_DESCENT: _Rule(False, False, False),
+    BANACH_ALTMAN_STEEPEST_DESCENT: _Rule(False, False, True),
+}
+ALL_FAMILIES = tuple(_RULES)
+BANACH_FAMILIES = (
+    BANACH_MIN_RESIDUAL, BANACH_STEEPEST_DESCENT, BANACH_ALTMAN_STEEPEST_DESCENT)
+HILBERT_FAMILIES = tuple(f for f in ALL_FAMILIES if f not in BANACH_FAMILIES)
 _EPS_BREAKDOWN = 1e-14
 
 
@@ -55,27 +68,24 @@ class MethodSpec:
     vartheta: float = 1.0
 
     def __post_init__(self):
-        if self.family not in ALL_FAMILIES:
+        if self.family not in _RULES:
             raise ArgumentError(f"unknown method family {self.family!r}")
         if not (0.0 < self.vartheta <= 2.0):
             raise ArgumentError(f"vartheta must lie in (0, 2], got {self.vartheta}")
 
     @property
     def uses_adjoint(self) -> bool:
-        return self.family in _ADJOINT_FAMILIES
+        return _RULES[self.family].adjoint
 
     @property
     def mu_family(self) -> str:
         """Which contraction-factor formula applies: 'min' or 'altman'."""
-        return "min" if self.family in _MIN_QUADRATIC_FAMILIES else "altman"
+        return "min" if _RULES[self.family].minimising else "altman"
 
     @property
     def effective_vartheta(self) -> float:
         # steepest descent and minimal errors are the vartheta = 1 cases
-        if self.family in (ALTMAN_STEEPEST_DESCENT, ALTMAN_MIN_ERROR,
-                           BANACH_ALTMAN_STEEPEST_DESCENT):
-            return self.vartheta
-        return 1.0
+        return self.vartheta if _RULES[self.family].relaxed else 1.0
 
     def check_space(self, space: SpaceGeometry) -> None:
         """Reject incompatible geometry as a typed configuration error.
@@ -96,51 +106,50 @@ class MethodSpec:
                 "banach_* analogue for sequence_p spaces")
 
 
+def _sq(space: SpaceGeometry, v: np.ndarray) -> float:
+    """||v||^2; the plain dot product in Euclidean space."""
+    return float(v @ v) if space.kind == EUCLIDEAN else norm(space, v) ** 2
+
+
+def _image(family: str, v: np.ndarray, name: str) -> np.ndarray:
+    """``v``, or BreakdownError when an entry of the image ``name`` is not finite."""
+    # a non-finite entry makes v @ v non-finite; only then are the entries read
+    if not math.isfinite(v @ v) and not np.isfinite(v).all():
+        raise BreakdownError(f"{family}: {name} has non-finite entries")
+    return v
+
+
 def step_direction(method: MethodSpec, space: SpaceGeometry, problem,
                    x: np.ndarray, fx: np.ndarray) -> tuple[float, np.ndarray]:
-    """Step scalar Lambda(x, fx) and direction T(x) fx for one update.
+    """Step scalar Lambda(x, fx) and direction d = T(x) fx for one update.
 
-    Raises BreakdownError when the step denominator falls below 1e-14 of
-    its natural scale, or when the computed step scalar is negative; both
-    signal failure of the positive-pairing assumption rather than a bug.
+    With h = fx and B = f' T, the minimising rules take [h, Bh] / (sigma ||Bh||^2)
+    and the relaxed ones ||h||^2 / (vartheta [h, Bh]), where [h, Bh] = ||d||^2
+    for T = f'^T; the space supplies [., .], ||.|| and sigma.
+
+    Raises BreakdownError when an image such as f'(x) f(x) or f'(x)^T f(x)
+    is not finite, and when the step denominator falls below 1e-14 of its
+    natural scale or the step scalar is negative, which means the
+    positive-pairing assumption fails.
     """
     method.check_space(space)
     J = np.asarray(problem.jacobian(x), dtype=float)
     fam = method.family
-    th = method.effective_vartheta
-
-    if fam in (MIN_RESIDUAL, STEEPEST_DESCENT, ALTMAN_STEEPEST_DESCENT):
-        w = J @ fx
-        pairing = float(fx @ w)
-        if fam == MIN_RESIDUAL:
-            num, den = pairing, float(w @ w)
-        else:
-            num, den = float(fx @ fx), th * pairing
-        scale = float(np.linalg.norm(fx) * np.linalg.norm(w))
-        direction = fx
-    elif fam == MIN_CO_ERROR:
-        u = J.T @ fx
-        w = J @ u
-        num, den = float(u @ u), float(w @ w)
-        scale = float(np.linalg.norm(u) * np.linalg.norm(w))
-        direction = u
-    elif fam in (MIN_ERROR, ALTMAN_MIN_ERROR):
-        u = J.T @ fx
-        num, den = float(fx @ fx), th * float(u @ u)
-        scale = float(np.linalg.norm(fx) * np.linalg.norm(u))
-        direction = u
-    elif fam == BANACH_MIN_RESIDUAL:
-        w = J @ fx
-        num = semiscalar(space, fx, w)
-        den = space.sigma * norm(space, w) ** 2
-        scale = norm(space, fx) * norm(space, w)
-        direction = fx
-    else:  # banach steepest descent, plain or relaxed
-        w = J @ fx
-        num = norm(space, fx) ** 2
-        den = th * semiscalar(space, fx, w)
-        scale = norm(space, fx) * norm(space, w)
-        direction = fx
+    rule = _RULES[fam]
+    if rule.adjoint:
+        d = g = _image(fam, J.T @ fx, "f'(x)^T f(x)")
+        pairing = _sq(space, d)
+    else:
+        d = fx
+        g = _image(fam, J @ fx, "f'(x) f(x)")
+        pairing = semiscalar(space, fx, g)
+    if rule.minimising:
+        Bh = _image(fam, J @ d, "f'(x) f'(x)^T f(x)") if rule.adjoint else g
+        num, den = pairing, space.sigma * _sq(space, Bh)
+        scale = norm(space, d) * norm(space, Bh)
+    else:
+        num, den = _sq(space, fx), method.effective_vartheta * pairing
+        scale = norm(space, fx) * norm(space, g)
 
     if not (den > _EPS_BREAKDOWN * scale):
         raise BreakdownError(
@@ -149,7 +158,7 @@ def step_direction(method: MethodSpec, space: SpaceGeometry, problem,
     lam = num / den
     if lam < 0.0:
         raise BreakdownError(f"{fam}: negative step size {lam:.3e}")
-    return lam, direction
+    return lam, d
 
 
 @dataclass(frozen=True)

@@ -63,10 +63,15 @@ def sequence_p(p: float) -> SpaceGeometry:
     return SpaceGeometry(SEQUENCE_P, float(p))
 
 
-def _vec(x) -> np.ndarray:
+def _arr(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise ArgumentError("expected a nonempty 1-d vector")
+    return v
+
+
+def _vec(x) -> np.ndarray:
+    v = _arr(x)
     if not np.all(np.isfinite(v)):
         raise ArgumentError("vector has non-finite entries")
     return v
@@ -87,9 +92,7 @@ def norm(space: SpaceGeometry, x) -> float:
     only case a non-finite entry can produce; the estimator's polish calls
     this once per candidate, where the full check would dominate.
     """
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1 or v.size < 1:
-        raise ArgumentError("expected a nonempty 1-d vector")
+    v = _arr(x)
     if space.kind == EUCLIDEAN:
         # what np.linalg.norm computes for a real vector, bit for bit
         w = v.ravel(order="K")
@@ -109,27 +112,42 @@ def dual_norm(space: SpaceGeometry, x) -> float:
     return _pnorm(v, space.q)
 
 
+def _duality_parts(space: SpaceGeometry, xv: np.ndarray, m: float):
+    """(c, w) with Jx = c * w, for x with largest magnitude m > 0.
+
+    Rescaled so the (p-1)-powers stay inside the floating-point range:
+    c = m * ||x/m||^(2-p) and w_i = |x_i/m|^(p-1) sign(x_i).
+    """
+    u = xv / m
+    nu_ = float(np.sum(np.abs(u) ** space.p)) ** (1.0 / space.p)
+    return m * nu_ ** (2.0 - space.p), np.abs(u) ** (space.p - 1.0) * np.sign(u)
+
+
 def semiscalar(space: SpaceGeometry, x, y) -> float:
     """Semiscalar product [x, y] = <Jx, y>; the dot product when p = 2.
 
     Linear in ``y``, homogeneous in ``x``, and [x, x] = ||x||^2.
-    Returns 0 when x = 0 (the J0 = 0 convention).
+    Returns 0 when x = 0 (the J0 = 0 convention).  As in ``norm``, the
+    entries are checked only when the result is not finite.
     """
-    xv = _vec(x)
-    yv = _vec(y)
+    xv = _arr(x)
+    yv = _arr(y)
     if xv.shape != yv.shape:
         raise ArgumentError("semiscalar arguments must have equal dimension")
     if space.kind == EUCLIDEAN:
-        return float(xv @ yv)
-    m = float(np.max(np.abs(xv)))
-    if m == 0.0:
-        return 0.0
-    # rescaled so the (p-1)-powers stay inside the floating-point range:
-    # [x, y] = m * ||x/m||^(2-p) * sum |x_i/m|^(p-1) sign(x_i) y_i
-    u = xv / m
-    nu_ = float(np.sum(np.abs(u) ** space.p)) ** (1.0 / space.p)
-    w = np.abs(u) ** (space.p - 1.0) * np.sign(u)
-    return float(m * nu_ ** (2.0 - space.p) * (w @ yv))
+        s = float(xv @ yv)
+    else:
+        m = float(np.max(np.abs(xv)))
+        if not (0.0 < m < math.inf):  # x = 0, where J0 = 0 would hide y, or x not finite
+            _vec(xv)
+            _vec(yv)
+            return 0.0
+        c, w = _duality_parts(space, xv, m)
+        s = float(c * (w @ yv))
+    if not math.isfinite(s):
+        _vec(xv)  # raises on a non-finite entry; an overflow stays inf
+        _vec(yv)
+    return s
 
 
 def duality_map(space: SpaceGeometry, x) -> np.ndarray:
@@ -140,9 +158,8 @@ def duality_map(space: SpaceGeometry, x) -> np.ndarray:
     m = float(np.max(np.abs(xv)))
     if m == 0.0:
         return np.zeros_like(xv)
-    u = xv / m
-    nu_ = float(np.sum(np.abs(u) ** space.p)) ** (1.0 / space.p)
-    return m * nu_ ** (2.0 - space.p) * np.abs(u) ** (space.p - 1.0) * np.sign(u)
+    c, w = _duality_parts(space, xv, m)
+    return c * w
 
 
 # Row-wise variants used by the sampling code; rows of X/Y are vectors.

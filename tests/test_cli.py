@@ -234,13 +234,27 @@ def test_bad_family_rejected(tmp_path):
     assert cli.main(["solve", "--config", rc]) == 1
 
 
-def test_adjoint_family_in_p4_rejected(tmp_path):
+@pytest.mark.parametrize("command", ["solve", "certify", "estimate"])
+def test_adjoint_family_in_p4_rejected(tmp_path, capsys, command):
     cfg = solve_config(tmp_path, method={"family": "min_error"},
                        space={"kind": "sequence_p", "p": 4.0},
                        bounds={"mode": "explicit",
                                "explicit": {"mu": 0.5, "lam": 1.0, "theta": 1.0}})
     rc = write_config(tmp_path, **cfg)
-    assert cli.main(["solve", "--config", rc]) == 1
+    assert cli.main([command, "--config", rc]) == 1
+    assert capsys.readouterr().err == (
+        "config error at method/space: min_error uses the adjoint and is not "
+        "defined outside Euclidean geometry\n")
+
+
+def test_bad_config_value_type_is_config_error(tmp_path, capsys):
+    # a value of the wrong type is a config error at its path, not a traceback
+    cfg = solve_config(tmp_path, problem={"name": "linear_spd", "params": {"bogus": 1}})
+    assert cli.main(["solve", "--config", write_config(tmp_path, **cfg)]) == 1
+    assert capsys.readouterr().err.startswith("config error at problem: ")
+    cfg = solve_config(tmp_path, bounds={"mode": "estimated", "plan": {"n_points": "many"}})
+    assert cli.main(["estimate", "--config", write_config(tmp_path, **cfg)]) == 1
+    assert capsys.readouterr().err.startswith("config error at bounds.plan: ")
 
 
 def test_certified_bounds_missing_rejected(tmp_path):

@@ -89,6 +89,100 @@ def test_step_direction_negative_step_is_breakdown():
         gc.step_direction(gc.MethodSpec(gc.MIN_RESIDUAL), EUC, p, x, p.f(x))
 
 
+# --- every family against the PAPER.md table, written directly in numpy -------
+
+def _p_norm(v, p):
+    return float(np.sum(np.abs(v) ** p) ** (1.0 / p))
+
+
+def _p_semiscalar(x, y, p):
+    # [x, y] = ||x||^(2-p) sum |x_i|^(p-1) sign(x_i) y_i
+    return float(_p_norm(x, p) ** (2.0 - p) * np.sum(np.abs(x) ** (p - 1.0) * np.sign(x) * y))
+
+
+def _paper_step(family, vartheta, p, J, f):
+    """Lambda and T f from the PAPER.md table; p = 2 is the Euclidean case."""
+    sigma = p - 1.0
+    Jf, JTf = J @ f, J.T @ f
+    table = {
+        "min_residual": (float(f @ Jf) / float(Jf @ Jf), f),
+        "min_co_error": (float(JTf @ JTf) / float((J @ JTf) @ (J @ JTf)), JTf),
+        "steepest_descent": (float(f @ f) / float(f @ Jf), f),
+        "altman_steepest_descent": (float(f @ f) / (vartheta * float(f @ Jf)), f),
+        "min_error": (float(f @ f) / float(JTf @ JTf), JTf),
+        "altman_min_error": (float(f @ f) / (vartheta * float(JTf @ JTf)), JTf),
+        "banach_min_residual": (_p_semiscalar(f, Jf, p) / (sigma * _p_norm(Jf, p) ** 2), f),
+        "banach_steepest_descent": (_p_norm(f, p) ** 2 / _p_semiscalar(f, Jf, p), f),
+        "banach_altman_steepest_descent":
+            (_p_norm(f, p) ** 2 / (vartheta * _p_semiscalar(f, Jf, p)), f),
+    }
+    return table[family]
+
+
+PAPER_CASES = [(fam, 1.0, 2.0) for fam in gc.ALL_FAMILIES] + [
+    (gc.ALTMAN_STEEPEST_DESCENT, 1.5, 2.0), (gc.ALTMAN_MIN_ERROR, 0.6, 2.0),
+    (gc.BANACH_ALTMAN_STEEPEST_DESCENT, 1.5, 2.0),
+    (gc.BANACH_MIN_RESIDUAL, 1.0, 4.0), (gc.BANACH_STEEPEST_DESCENT, 1.0, 4.0),
+    (gc.BANACH_ALTMAN_STEEPEST_DESCENT, 1.5, 4.0)]
+
+
+@pytest.mark.parametrize("family, vartheta, p", PAPER_CASES)
+def test_step_direction_matches_paper_table(family, vartheta, p):
+    space = EUC if p == 2.0 else gc.sequence_p(p)
+    rng = np.random.default_rng(8)
+    dim = 4
+    A = 3.0 * np.eye(dim) + 0.5 * rng.standard_normal((dim, dim))  # nonsymmetric
+    prob = gc.Problem(name="t", dim=dim, f=lambda x: A @ x - 1.0,
+                      jacobian=lambda x: A.copy(), x0=np.zeros(dim), R=10.0)
+    for _ in range(10):
+        x = rng.standard_normal(dim)
+        fx = prob.f(x)
+        lam, direction = gc.step_direction(gc.MethodSpec(family, vartheta), space,
+                                           prob, x, fx)
+        lam_ref, dir_ref = _paper_step(family, vartheta, p, A, fx)
+        assert lam > 0.0
+        assert lam == pytest.approx(lam_ref, rel=1e-14)
+        np.testing.assert_array_equal(direction, dir_ref)
+
+
+@pytest.mark.parametrize("banach, hilbert, vartheta", [
+    (gc.BANACH_MIN_RESIDUAL, gc.MIN_RESIDUAL, 1.0),
+    (gc.BANACH_STEEPEST_DESCENT, gc.STEEPEST_DESCENT, 1.0),
+    (gc.BANACH_ALTMAN_STEEPEST_DESCENT, gc.ALTMAN_STEEPEST_DESCENT, 1.3)])
+def test_banach_family_equals_hilbert_in_euclidean_space(banach, hilbert, vartheta):
+    # one rule, with the geometry from the space: bit for bit the same step
+    rng = np.random.default_rng(21)
+    for seed in range(20):
+        p = gc.linear_spd(1, 9, 5, rotate=True, seed=seed)
+        for _ in range(10):
+            x = rng.standard_normal(5)
+            fx = p.f(x)
+            lam_b, dir_b = gc.step_direction(gc.MethodSpec(banach, vartheta), EUC, p, x, fx)
+            lam_h, dir_h = gc.step_direction(gc.MethodSpec(hilbert, vartheta), EUC, p, x, fx)
+            assert lam_b == lam_h
+            np.testing.assert_array_equal(dir_b, dir_h)
+
+
+def _inf_jacobian_problem(dim=3):
+    def jacobian(x):
+        J = 2.0 * np.eye(dim)
+        J[0, 1] = np.inf
+        return J
+    return gc.Problem(name="inf_jacobian", dim=dim, f=lambda x: 2.0 * x - 1.0,
+                      jacobian=jacobian, x0=np.zeros(dim), R=10.0)
+
+
+@pytest.mark.parametrize("space", [EUC, gc.sequence_p(4)], ids=["euclidean", "p4"])
+def test_non_finite_image_is_breakdown(space):
+    families = gc.ALL_FAMILIES if space is EUC else gc.BANACH_FAMILIES
+    for fam in families:
+        method = gc.MethodSpec(fam)
+        trace = gc.solve(_inf_jacobian_problem(), method, space, STOP)
+        assert trace.termination == "breakdown", fam
+        image = "f'(x)^T f(x)" if method.uses_adjoint else "f'(x) f(x)"
+        assert trace.reason == f"{fam}: {image} has non-finite entries"
+
+
 def test_method_spec_validation():
     with pytest.raises(ArgumentError):
         gc.MethodSpec("nonsense")

@@ -91,6 +91,21 @@ def test_semiscalar_zero_first_argument():
     assert gc.semiscalar(gc.sequence_p(4), [0.0, 0.0], [3.0, -1.0]) == 0.0
 
 
+@pytest.mark.parametrize("sp", [gc.euclidean(), gc.sequence_p(2), gc.sequence_p(4)],
+                         ids=["euclidean", "p2", "p4"])
+def test_semiscalar_rejects_nonfinite(sp):
+    # the entries are read only when the result is not finite (so numpy may
+    # warn first); x = 0 must still not hide a non-finite y behind J0 = 0
+    for x, y in (([1.0, math.nan], [1.0, 1.0]), ([math.inf, 1.0], [1.0, 1.0]),
+                 ([1.0, 2.0], [math.nan, 1.0]), ([1.0, 2.0], [-math.inf, math.inf]),
+                 ([0.0, 0.0], [math.nan, 1.0]), ([0.0, 0.0], [1.0, math.inf])):
+        with pytest.raises(ArgumentError), np.errstate(invalid="ignore"):
+            gc.semiscalar(sp, x, y)
+    # an overflowing sum is inf, not an error
+    with np.errstate(over="ignore"):
+        assert gc.semiscalar(sp, [1e200, 1e200], [1e200, 1e200]) == math.inf
+
+
 def test_semiscalar_dimension_mismatch():
     with pytest.raises(ArgumentError):
         gc.semiscalar(gc.euclidean(), [1.0], [1.0, 2.0])
