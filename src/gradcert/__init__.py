@@ -17,10 +17,8 @@ from .estimator import (Estimates, SamplePlan, estimate_lambda_tilde,
 from .majorant import (BoundData, HolderModulus, LipschitzModulus,
                        MajorantCertificate, RelaxationMap, TabulatedModulus,
                        altman_validity_threshold, aposteriori_bound,
-                       apriori_bound, apriori_bounds, certify,
-                       integrated_modulus, majorant_sum, mu_altman_family,
-                       mu_min_family, rate_bounds, relax, relax_iterate,
-                       smallest_fixed_point)
+                       apriori_bound, apriori_bounds, certify, majorant_sum,
+                       mu_altman_family, mu_min_family, smallest_fixed_point)
 from .methods import (ALL_FAMILIES, ALTMAN_MIN_ERROR, ALTMAN_STEEPEST_DESCENT,
                       BANACH_ALTMAN_STEEPEST_DESCENT, BANACH_FAMILIES,
                       BANACH_MIN_RESIDUAL, BANACH_STEEPEST_DESCENT,
@@ -33,8 +31,7 @@ from .problems import (CertifiedBounds, JacobianReport, Problem,
                        chandrasekhar, identity, indefinite2d, linear_spd,
                        make_problem, newton_solve, problem_names, quad2d,
                        registry, scalar_quad, validate_jacobian)
-from .spaces import (SpaceAxiomReport, SpaceGeometry, dual_norm, duality_map,
-                     euclidean, norm, semiscalar, sequence_p,
-                     verify_space_axioms)
+from .spaces import (SpaceAxiomReport, SpaceGeometry, duality_map, euclidean,
+                     norm, semiscalar, sequence_p, verify_space_axioms)
 
 __version__ = "0.1.0"

@@ -23,7 +23,6 @@ import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
@@ -46,8 +45,7 @@ _DEFAULTS = {
     "space": {"kind": "euclidean", "p": 2.0},
     "bounds": {
         "mode": "certified",
-        "explicit": {"mu": None, "nu": None, "step_family": None, "lam": 1.0,
-                     "theta": 1.0, "R": None,
+        "explicit": {"mu": None, "nu": None, "lam": 1.0, "theta": 1.0, "R": None,
                      "omega": {"family": "lipschitz", "L": 0.0, "alpha": 1.0,
                                "ts": None, "ws": None}},
         "plan": {"seed": None, "n_points": 32, "n_dirs": 64, "refine": True},
@@ -167,16 +165,12 @@ def _explicit_bounds(rc: dict, problem, method) -> majorant.BoundData:
         else:
             raise ConfigError(
                 f"config error at bounds.explicit.omega.family: unknown {fam!r}")
-        kwargs: dict[str, Any] = {}
-        if "mu" in given:
-            kwargs["mu"] = float(given["mu"])
-        if "nu" in given:
-            kwargs["nu"] = float(given["nu"])
-            kwargs["step_family"] = given.get("step_family", method.mu_family)
-            kwargs["vartheta"] = method.effective_vartheta
+        # a given mu is used as is; a given nu takes the method's contraction formula
+        mu_nu = {k: float(given[k]) for k in ("mu", "nu") if k in given}
         return majorant.BoundData(
             lam=float(ex["lam"]), theta=float(ex["theta"]), omega=omega, R=float(ex["R"]),
-            note="explicit constants from the run configuration", **kwargs)
+            step_family=method.mu_family, vartheta=method.effective_vartheta,
+            note="explicit constants from the run configuration", **mu_nu)
 
 
 def _resolve_bounds(rc, problem, method, space):
@@ -384,8 +378,9 @@ def cmd_estimate(rc: dict, fixed_clock: bool) -> int:
 
 def cmd_verify_space(rc: dict, fixed_clock: bool) -> int:
     space = _build_space(rc)
-    report = spaces.verify_space_axioms(
-        space, n_samples=int(rc["run"]["samples"]), seed=int(rc["run"]["seed"]))
+    with _at("run"):
+        report = spaces.verify_space_axioms(
+            space, n_samples=int(rc["run"]["samples"]), seed=int(rc["run"]["seed"]))
     status = EXIT_OK if report.passed else EXIT_VIOLATIONS
     _write_report({
         "command": "verify-space",

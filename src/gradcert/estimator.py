@@ -29,6 +29,7 @@ import numpy as np
 from .errors import ArgumentError, AssumptionError
 from .majorant import BoundData, LipschitzModulus
 from .methods import MethodSpec
+# bench/tracer.py wraps norm, norm_rows and semiscalar_rows as globals of this module
 from .spaces import EUCLIDEAN, SpaceGeometry, norm, norm_rows, semiscalar_rows
 
 
@@ -44,6 +45,8 @@ class SamplePlan:
     def __post_init__(self):
         if self.n_points < 1 or self.n_dirs < 1:
             raise ArgumentError("n_points and n_dirs must be >= 1")
+        if self.seed < 0:
+            raise ArgumentError(f"seed must be >= 0, got {self.seed}")
 
 
 _NO_DISTINCT_PAIR = "need at least two distinct sample points"
@@ -121,8 +124,8 @@ def _jacobian(problem, x: np.ndarray) -> np.ndarray:
     return np.asarray(problem.jacobian(x), dtype=float)
 
 
-def _operator(problem, method: MethodSpec, x: np.ndarray) -> np.ndarray:
-    J = _jacobian(problem, x)
+def _operator(method: MethodSpec, J: np.ndarray) -> np.ndarray:
+    """The operator B whose image the step scalars read: J J^T for adjoint families, else J."""
     return J @ J.T if method.uses_adjoint else J
 
 
@@ -306,7 +309,7 @@ def sample_estimates(problem, method: MethodSpec, space: SpaceGeometry,
         if adjoint:
             tn = _matrix_norm(space, J.T)
             theta = tn if theta is None else max(theta, tn)
-        B = J @ J.T if adjoint else J
+        B = _operator(method, J)
 
         fx = np.asarray(problem.f(x), dtype=float)
         residual = bool(np.all(np.isfinite(fx))) and norm(space, fx) > 0.0
@@ -340,7 +343,7 @@ def sample_estimates(problem, method: MethodSpec, space: SpaceGeometry,
 
     if plan.refine:
         def operator(x):
-            return _operator(problem, method, x)
+            return _operator(method, _jacobian(problem, x))
 
         def lam_objective(B, h):
             w = B @ h
@@ -362,6 +365,7 @@ def sample_estimates(problem, method: MethodSpec, space: SpaceGeometry,
         theta=theta, omega_lipschitz=lip.value())
 
 
+# span target "estimator.nu_tilde" of bench/tracer.py
 def estimate_nu_tilde(problem, method: MethodSpec, space: SpaceGeometry,
                       r: float, plan: SamplePlan) -> float:
     """Upper estimate of the worst acuteness ratio over the ball of radius r.
@@ -372,6 +376,7 @@ def estimate_nu_tilde(problem, method: MethodSpec, space: SpaceGeometry,
     return sample_estimates(problem, method, space, r, plan).nu_tilde
 
 
+# span target "estimator.lambda_tilde" of bench/tracer.py
 def estimate_lambda_tilde(problem, method: MethodSpec, space: SpaceGeometry,
                           r: float, plan: SamplePlan) -> float:
     """Lower estimate of the step-size bound for the method's step family.
@@ -384,6 +389,7 @@ def estimate_lambda_tilde(problem, method: MethodSpec, space: SpaceGeometry,
     return sample_estimates(problem, method, space, r, plan).lambda_tilde
 
 
+# span target "estimator.nu_trajectory" of bench/tracer.py
 def estimate_nu_trajectory(problem, method: MethodSpec, space: SpaceGeometry,
                            r: float, plan: SamplePlan) -> float:
     """Acuteness ratio along residual directions only (h = f(x) per sample).
@@ -395,6 +401,7 @@ def estimate_nu_trajectory(problem, method: MethodSpec, space: SpaceGeometry,
                             replace(plan, refine=False)).trajectory()
 
 
+# span target "estimator.omega_lipschitz" of bench/tracer.py
 def estimate_omega_lipschitz(problem, r: float, plan: SamplePlan,
                              space: SpaceGeometry | None = None) -> float:
     """Lower estimate of the Jacobian Lipschitz constant over the ball.
@@ -417,6 +424,7 @@ def estimate_omega_lipschitz(problem, r: float, plan: SamplePlan,
     return L
 
 
+# span target "estimator.theta" of bench/tracer.py
 def estimate_theta(problem, method: MethodSpec, space: SpaceGeometry,
                    r: float, plan: SamplePlan) -> float:
     """Bound on ||T(x)||: exactly 1 for identity T, sampled max matrix norm otherwise."""

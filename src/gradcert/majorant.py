@@ -43,28 +43,6 @@ _ROOT_ATOL = 1e-12
 # ---------------------------------------------------------------------------
 # moduli of continuity
 
-class LipschitzModulus:
-    """omega(r, t) = L(r) * t. ``L`` may be a constant or a function of r."""
-
-    alpha = 1.0
-
-    def __init__(self, L: float | Callable[[float], float]):
-        self._L = L if callable(L) else (lambda r, _v=float(L): _v)
-
-    def constant(self, r: float) -> float:
-        """L(r)."""
-        return self._L(r)
-
-    def value(self, r: float, t):
-        return self._L(r) * t
-
-    def integral(self, r: float, t):
-        return 0.5 * self._L(r) * t * t
-
-    def is_zero(self, r: float) -> bool:
-        return self._L(r) == 0.0
-
-
 class HolderModulus:
     """omega(r, t) = L(r) * t**alpha with 0 < alpha <= 1."""
 
@@ -86,6 +64,17 @@ class HolderModulus:
 
     def is_zero(self, r: float) -> bool:
         return self._L(r) == 0.0
+
+
+class LipschitzModulus(HolderModulus):
+    """omega(r, t) = L(r) * t: the Holder modulus with alpha = 1."""
+
+    def __init__(self, L: float | Callable[[float], float]):
+        super().__init__(L, 1.0)
+
+    def integral(self, r: float, t):
+        # not the Holder form L * t**2 / 2, which rounds differently
+        return 0.5 * self._L(r) * t * t
 
 
 class TabulatedModulus:
@@ -111,6 +100,7 @@ class TabulatedModulus:
         self.ws = ws
         self._cum = np.concatenate(
             [[0.0], np.cumsum(0.5 * (ws[1:] + ws[:-1]) * np.diff(ts))])
+        self._slope = np.append(np.diff(ws) / np.diff(ts), 0.0)  # 0 past the last node
 
     def value(self, r: float, t):
         return np.interp(t, self.ts, self.ws)
@@ -118,17 +108,8 @@ class TabulatedModulus:
     def integral(self, r: float, t):
         t = np.asarray(t, dtype=float)
         idx = np.clip(np.searchsorted(self.ts, t, side="right") - 1, 0, len(self.ts) - 1)
-        t0 = self.ts[idx]
-        w0 = self.ws[idx]
-        inside = idx < len(self.ts) - 1
-        slope = np.where(
-            inside,
-            (self.ws[np.minimum(idx + 1, len(self.ts) - 1)] - w0)
-            / np.where(inside, self.ts[np.minimum(idx + 1, len(self.ts) - 1)] - t0, 1.0),
-            0.0,
-        )
-        dt = t - t0
-        out = self._cum[idx] + w0 * dt + 0.5 * slope * dt * dt
+        dt = t - self.ts[idx]
+        out = self._cum[idx] + self.ws[idx] * dt + 0.5 * self._slope[idx] * dt * dt
         return float(out) if out.ndim == 0 else out
 
     def is_zero(self, r: float) -> bool:
@@ -186,6 +167,14 @@ def _as_fn(v) -> Callable[[float], float]:
     return v if callable(v) else (lambda r, _v=float(v): _v)
 
 
+def _read(name: str, v, r: float) -> float:
+    """The bound function ``v`` at r, checked to be finite and nonnegative."""
+    v = float(_as_fn(v)(r))
+    if v < 0 or not np.isfinite(v):
+        raise ArgumentError(f"{name}({r}) = {v} is not a finite nonnegative value")
+    return v
+
+
 @dataclass(frozen=True)
 class BoundData:
     """Scalar bound functions feeding the majorant calculus.
@@ -217,16 +206,10 @@ class BoundData:
             raise ArgumentError("nu-based bounds need step_family 'min' or 'altman'")
 
     def lam_at(self, r: float) -> float:
-        v = float(_as_fn(self.lam)(r))
-        if v < 0 or not np.isfinite(v):
-            raise ArgumentError(f"lam({r}) = {v} is not a finite nonnegative value")
-        return v
+        return _read("lam", self.lam, r)
 
     def theta_at(self, r: float) -> float:
-        v = float(_as_fn(self.theta)(r))
-        if v < 0 or not np.isfinite(v):
-            raise ArgumentError(f"theta({r}) = {v} is not a finite nonnegative value")
-        return v
+        return _read("theta", self.theta, r)
 
     def nu_at(self, r: float) -> float:
         return float(_as_fn(self.nu)(r))
@@ -234,10 +217,7 @@ class BoundData:
     def mu_at(self, r: float, sigma: float) -> float:
         """mu(r), derived from nu via the step family when not given directly."""
         if self.mu is not None:
-            v = float(_as_fn(self.mu)(r))
-            if v < 0 or not np.isfinite(v):
-                raise ArgumentError(f"mu({r}) = {v} is not a finite nonnegative value")
-            return v
+            return _read("mu", self.mu, r)
         nu = self.nu_at(r)
         if self.step_family == "min":
             return mu_min_family(nu, sigma)
@@ -274,14 +254,6 @@ class BoundData:
 # ---------------------------------------------------------------------------
 # the relaxation map and its derived objects
 
-def integrated_modulus(bounds: BoundData, r: float, t: float) -> float:
-    """Omega(r, t): the integral of omega(r, .) from 0 to t."""
-    if t < 0:
-        raise ArgumentError("t must be nonnegative")
-    _check_radius(bounds, r)
-    return float(np.asarray(bounds.omega.integral(r, t)))
-
-
 def _check_radius(bounds: BoundData, r: float) -> None:
     if not (0.0 <= r <= bounds.R * (1.0 + 1e-9)):
         raise ArgumentError(f"radius r={r} outside [0, R={bounds.R}]")
@@ -290,6 +262,8 @@ def _check_radius(bounds: BoundData, r: float) -> None:
 class RelaxationMap:
     """The relaxation map d_sigma(r, .) at one radius, with its fixed point and series.
 
+    ``RelaxationMap(bounds, sigma, r)(phi)`` is d_sigma(r, phi), ``.phi_star``
+    its smallest positive fixed point and ``.sum(phi)`` the series w_sigma.
     The radius and sigma are checked, and mu(r) and ``lt = lam(r)*theta(r)``
     evaluated, once when the map is built; every later evaluation of the
     map, its iterates, its fixed point or its series reuses them.  The map
@@ -313,17 +287,6 @@ class RelaxationMap:
         if self.linear:
             return self.mu * phi  # the integral term is exactly 0 here
         return self.mu * phi + self.sigma * self.omega.integral(self.r, self.lt * phi)
-
-    def iterate(self, phi: float, n: int) -> float:
-        """n-fold composition of the map; n = 0 returns phi."""
-        if n < 0:
-            raise ArgumentError("n must be >= 0")
-        if phi < 0:
-            raise ArgumentError("phi must be nonnegative")
-        v = float(phi)
-        for _ in range(n):
-            v = float(self(v))
-        return v
 
     @cached_property
     def phi_star(self) -> float | None:
@@ -417,21 +380,13 @@ class RelaxationMap:
         raise DivergenceError("majorant series did not stabilize within the term cap")
 
 
-def relax(bounds: BoundData, sigma: float, r: float, phi: float) -> float:
-    """The relaxation map d_sigma(r, phi)."""
-    return RelaxationMap(bounds, sigma, r).iterate(phi, 1)
-
-
-def relax_iterate(bounds: BoundData, sigma: float, r: float, phi: float, n: int) -> float:
-    """n-fold composition of the relaxation map; n = 0 returns phi."""
-    return RelaxationMap(bounds, sigma, r).iterate(phi, n)
-
-
+# kept as the span target "majorant.fixed_point" of bench/tracer.py
 def smallest_fixed_point(bounds: BoundData, sigma: float, r: float) -> float | None:
     """Smallest phi > 0 with phi = d_sigma(r, phi), or None; see ``RelaxationMap.phi_star``."""
     return RelaxationMap(bounds, sigma, r).phi_star
 
 
+# kept as the span target "majorant.majorant_sum" of bench/tracer.py
 def majorant_sum(bounds: BoundData, sigma: float, r: float, phi: float) -> float:
     """w_sigma(r, phi), an upper bound on the series; see ``RelaxationMap.sum``."""
     return RelaxationMap(bounds, sigma, r).sum(phi)
@@ -551,6 +506,7 @@ def certify(bounds: BoundData, sigma: float, a: float,
     return _certificate_at(bounds, sigma, a, hi, feasible=True)
 
 
+# kept as the span target "majorant.apriori" of bench/tracer.py
 def apriori_bound(cert: MajorantCertificate, bounds: BoundData, n: int) -> float:
     """Error bound computable before the run: lam*theta*w(r, d^(n)(r, a))."""
     return apriori_bounds(cert, bounds, n)[n]
@@ -571,26 +527,9 @@ def apriori_bounds(cert: MajorantCertificate, bounds: BoundData, n_max: int) -> 
     return out
 
 
+# span target "majorant.aposteriori" of bench/tracer.py; methods.solve calls it by name
 def aposteriori_bound(cert: MajorantCertificate, bounds: BoundData,
                       res_norm: float) -> float:
-    """Error bound from the observed residual: lam*theta*w(r, ||f(x_n)||)."""
-    if res_norm < 0:
-        raise ArgumentError("residual norm must be nonnegative")
-    if res_norm == 0.0:
-        return 0.0
-    if cert.phi_star is not None and res_norm >= cert.phi_star:
-        raise DivergenceError(
-            f"residual {res_norm:.6g} >= fixed point {cert.phi_star:.6g}; "
-            "majorant series diverges")
+    """Error bound lam*theta*w(r, ||f(x_n)||) from the observed residual; see RelaxationMap.sum."""
     rmap = cert.relaxation_for(bounds)
     return rmap.lt * rmap.sum(res_norm)
-
-
-def rate_bounds(cert: MajorantCertificate, bounds: BoundData) -> tuple[float, float]:
-    """(worst per-step error ratio bound d(r,a)/a, asymptotic linear factor mu(r))."""
-    if not cert.feasible:
-        raise ArgumentError("rate bounds require a feasible certificate")
-    if cert.a == 0.0:
-        raise ArgumentError("rate bounds undefined for a = 0")
-    rmap = cert.relaxation_for(bounds)
-    return float(rmap(cert.a)) / cert.a, rmap.mu

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import majorant
 from .errors import ArgumentError, BreakdownError, DivergenceError
+# bench/tracer.py wraps norm as a global of this module
 from .spaces import EUCLIDEAN, SpaceGeometry, norm, semiscalar
 
 MIN_RESIDUAL = "min_residual"

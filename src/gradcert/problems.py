@@ -24,9 +24,8 @@ _SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class CertifiedBounds:
-    """Closed-form bound functions, resolvable per step family."""
+    """Closed-form bound functions per step family; each ``BoundData.note`` holds the derivation."""
 
-    note: str
     resolver: Callable[[MethodSpec, float], BoundData]
 
     def bound_data(self, method: MethodSpec, sigma: float = 1.0) -> BoundData:
@@ -53,9 +52,13 @@ def _require_euclidean_sigma(sigma: float, name: str) -> None:
             f"(sigma=1); got sigma={sigma}. Use estimated bounds for p > 2.")
 
 
+def _antieigenvalues(m: float, M: float) -> tuple[float, float]:
+    """nu of an SPD operator with spectrum in [m, M], and of its square (adjoint families)."""
+    return 2.0 * math.sqrt(m * M) / (m + M), 2.0 * m * M / (m * m + M * M)
+
+
 def _linear_bound_resolver(m: float, M: float, R: float, name: str):
-    nu_id = 2.0 * math.sqrt(m * M) / (m + M)
-    nu_adj = 2.0 * m * M / (m * m + M * M)
+    nu_id, nu_adj = _antieigenvalues(m, M)
 
     def resolve(method: MethodSpec, sigma: float) -> BoundData:
         _require_euclidean_sigma(sigma, name)
@@ -78,8 +81,7 @@ def _linear_bound_resolver(m: float, M: float, R: float, name: str):
 def _linear_ball_radius(m: float, M: float, a: float, dist_to_solution: float) -> float:
     # large enough that every certifiable vartheta=1 family admits a
     # feasible radius: R >= 2 * lam*theta*a/(1-mu) over those families
-    nu_id = 2.0 * math.sqrt(m * M) / (m + M)
-    nu_adj = 2.0 * m * M / (m * m + M * M)
+    nu_id, nu_adj = _antieigenvalues(m, M)
     reqs = [dist_to_solution, 1.0]
     reqs.append((1.0 / m) * a / (1.0 - mu_min_family(nu_id, 1.0)))
     reqs.append((M / m**2) * a / (1.0 - mu_min_family(nu_adj, 1.0)))
@@ -121,9 +123,7 @@ def linear_spd(m: float = 1.0, M: float = 4.0, dim: int = 2, b=None, x0=None,
         f=lambda x, _A=A, _b=b: _A @ x - _b,
         jacobian=lambda x, _A=A: _A.copy(),
         x0=x0, R=float(R), known_solution=x_star,
-        certified_bounds=CertifiedBounds(
-            note="spectral-interval constants, exact for SPD operators",
-            resolver=_linear_bound_resolver(m, M, float(R), name)),
+        certified_bounds=CertifiedBounds(_linear_bound_resolver(m, M, float(R), name)),
         params={"m": m, "M": M, "dim": dim, "rotate": rotate, "seed": seed})
 
 
@@ -151,7 +151,7 @@ def identity(dim: int = 3, b=None, R: float | None = None) -> Problem:
         f=lambda x, _b=b: x - _b,
         jacobian=lambda x, _d=dim: np.eye(_d),
         x0=np.zeros(dim), R=float(R), known_solution=b.copy(),
-        certified_bounds=CertifiedBounds("identity linearization", resolve),
+        certified_bounds=CertifiedBounds(resolve),
         params={"dim": dim})
 
 
@@ -208,7 +208,7 @@ def quad2d() -> Problem:
         f=lambda x: np.array([x[0] - 0.1 * x[1] ** 2, x[1] - 0.1 * x[0] ** 2]),
         jacobian=lambda x: np.array([[1.0, -0.2 * x[1]], [-0.2 * x[0], 1.0]]),
         x0=x0, R=R, known_solution=np.zeros(2),
-        certified_bounds=CertifiedBounds("hand-derived perturbation bounds", resolve),
+        certified_bounds=CertifiedBounds(resolve),
         params={})
 
 
@@ -247,7 +247,7 @@ def scalar_quad(c: float = 0.1, x0: float = 0.0, R: float = 5.0) -> Problem:
         jacobian=lambda x: np.array([[1.0 - 0.1 * x[0]]]),
         x0=np.array([float(x0)]), R=float(R),
         known_solution=np.array([x_star]),
-        certified_bounds=CertifiedBounds("scalar derivative interval", resolve),
+        certified_bounds=CertifiedBounds(resolve),
         params={"c": c})
 
 

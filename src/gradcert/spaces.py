@@ -49,11 +49,6 @@ class SpaceGeometry:
         """Sharp constant of the quadratic norm inequality (p - 1 for l_p)."""
         return 1.0 if self.kind == EUCLIDEAN else self.p - 1.0
 
-    @property
-    def q(self) -> float:
-        """Conjugate exponent, 1/p + 1/q = 1."""
-        return 2.0 if self.kind == EUCLIDEAN else self.p / (self.p - 1.0)
-
 
 def euclidean() -> SpaceGeometry:
     return SpaceGeometry(EUCLIDEAN)
@@ -102,14 +97,6 @@ def norm(space: SpaceGeometry, x) -> float:
     if not math.isfinite(nv):
         _vec(v)  # raises on a non-finite entry; an overflowed norm stays inf
     return nv
-
-
-def dual_norm(space: SpaceGeometry, x) -> float:
-    """Norm of a functional identified with a coordinate vector (q-norm)."""
-    v = _vec(x)
-    if space.kind == EUCLIDEAN:
-        return float(np.linalg.norm(v))
-    return _pnorm(v, space.q)
 
 
 def _duality_parts(space: SpaceGeometry, xv: np.ndarray, m: float):
@@ -335,6 +322,8 @@ def verify_space_axioms(
         raise ArgumentError("n_samples must be >= 1")
     if not dims:
         raise ArgumentError("dims must be nonempty")
+    if seed < 0:
+        raise ArgumentError(f"seed must be >= 0, got {seed}")
     sig = space.sigma if sigma is None else float(sigma)
     rng = np.random.default_rng(seed)
 

@@ -164,7 +164,7 @@ def test_majorant_identities():
         for frac in np.geomspace(1e-3, 0.93, 10):
             phi = float(frac * phi_star)
             w = gc.majorant_sum(bounds, sigma, 1.0, phi)
-            dphi = gc.relax(bounds, sigma, 1.0, phi)
+            dphi = gc.RelaxationMap(bounds, sigma, 1.0)(phi)
             w_next = gc.majorant_sum(bounds, sigma, 1.0, dphi)
             assert abs(w - (phi + w_next)) <= 1e-9 * max(1.0, abs(w))
             assert w <= phi * phi / (phi - dphi) * (1.0 + 1e-12)
@@ -191,7 +191,8 @@ def test_sigma_degeneracy_p2():
                          R=5.0, mu=mu)
         phi = float(rng.uniform(0.0, 1.0))
         expected = mu * phi + 0.5 * L * (lt * phi) ** 2
-        assert abs(gc.relax(b, sp2.sigma, 1.0, phi) - expected) <= 1e-12 * max(1.0, expected)
+        d = gc.RelaxationMap(b, sp2.sigma, 1.0)
+        assert abs(d(phi) - expected) <= 1e-12 * max(1.0, expected)
         # full trace degeneracy
         m = float(rng.uniform(0.5, 1.5))
         M = m * float(rng.uniform(1.5, 6.0))
@@ -273,7 +274,7 @@ def test_rate_bounds_on_certified_linear_runs():
         assert cert.feasible
         trace = gc.solve(problem, method, EUC, gc.StopRule(1e-10, 400),
                          cert, bounds)
-        velo_bound, linear_rate = gc.rate_bounds(cert, bounds)
+        velo_bound, linear_rate = cert.velo_bound, cert.linear_rate
         velo, lexp = gc.empirical_rates(trace, problem.known_solution)
         assert velo <= velo_bound + 1e-6, (problem.name, family, velo, velo_bound)
         assert lexp <= linear_rate + 1e-6, (problem.name, family, lexp, linear_rate)

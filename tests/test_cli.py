@@ -280,3 +280,33 @@ def test_solve_estimated_banach_p4(tmp_path):
     rep = read_report(tmp_path)
     assert rep["certificate"]["sigma"] == 3.0
     assert rep["trace"]["termination"] == "converged"
+
+
+def test_explicit_step_family_key_rejected(tmp_path, capsys):
+    # the contraction formula comes from the method; with "min" this run
+    # would certify mu = 0.60 instead of the steepest-descent 0.75
+    explicit = {"nu": 0.8, "lam": 1.0, "theta": 1.0}
+    cfg = solve_config(
+        tmp_path, method={"family": "steepest_descent"},
+        problem={"name": "linear_spd",
+                 "params": {"m": 1, "M": 4, "dim": 2, "x0": [1.6, 0.2]}},
+        bounds={"mode": "explicit", "explicit": dict(explicit, step_family="min")})
+    assert cli.main(["solve", "--config", write_config(tmp_path, **cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error at bounds.explicit: unknown key(s) ['step_family']")
+    cfg["bounds"]["explicit"] = explicit
+    assert cli.main(["solve", "--config", write_config(tmp_path, **cfg), "--fixed-clock"]) == 0
+    assert read_report(tmp_path)["certificate"]["linear_rate"] == pytest.approx(0.75)
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command", ["estimate", "solve", "verify-space"])
+def test_negative_seed_is_config_error(tmp_path, capsys, command, via):
+    cfg = solve_config(tmp_path, bounds={"mode": "estimated",
+                                         "plan": {"n_points": 8, "n_dirs": 64,
+                                                  "refine": False}})
+    seed_flag = ["--seed", "-1"] if via == "flag" else []
+    if via == "config":
+        cfg["run"]["seed"] = -1
+    assert cli.main([command, "--config", write_config(tmp_path, **cfg), *seed_flag]) == 1
+    assert capsys.readouterr().err.startswith("config error at ")

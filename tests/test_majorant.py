@@ -60,20 +60,20 @@ def test_oracle_reproduces_frozen_value():
 
 def test_integrated_modulus_lipschitz():
     b = geometric_case(L=1.0)
-    assert gc.integrated_modulus(b, 1.0, 0.5) == pytest.approx(0.125, abs=0)
+    assert b.omega.integral(1.0, 0.5) == pytest.approx(0.125, abs=0)
 
 
 def test_integrated_modulus_zero_t():
     for om in (gc.LipschitzModulus(2.0), gc.HolderModulus(2.0, 0.5),
                gc.TabulatedModulus([0.0, 1.0], [0.0, 3.0])):
         b = gc.BoundData(lam=1.0, theta=1.0, omega=om, R=1.0, mu=0.1)
-        assert gc.integrated_modulus(b, 0.5, 0.0) == 0.0
+        assert b.omega.integral(0.5, 0.0) == 0.0
 
 
 def test_integrated_modulus_holder_vs_quadrature():
     om = gc.HolderModulus(2.0, 0.5)
     b = gc.BoundData(lam=1.0, theta=1.0, omega=om, R=1.0, mu=0.1)
-    got = gc.integrated_modulus(b, 0.0, 1.0)
+    got = b.omega.integral(0.0, 1.0)
     assert got == pytest.approx(4.0 / 3.0, rel=1e-14)
     num, _ = quad(lambda t: 2.0 * math.sqrt(t), 0.0, 1.0, epsabs=1e-13)
     assert got == pytest.approx(num, abs=1e-11)
@@ -87,12 +87,7 @@ def test_integrated_modulus_tabulated_vs_quadrature():
     for t in (0.25, 0.5, 0.9, 1.7, 2.0, 3.5):
         num, _ = quad(lambda u: float(np.interp(min(u, 2.0), ts, ws)), 0.0, t,
                       epsabs=1e-13, limit=200)
-        assert gc.integrated_modulus(b, 0.0, t) == pytest.approx(num, abs=1e-10)
-
-
-def test_integrated_modulus_negative_t_rejected():
-    with pytest.raises(ArgumentError):
-        gc.integrated_modulus(geometric_case(), 0.0, -0.1)
+        assert b.omega.integral(0.0, t) == pytest.approx(num, abs=1e-10)
 
 
 def test_tabulated_modulus_validation():
@@ -106,32 +101,39 @@ def test_tabulated_modulus_validation():
 
 # --- relaxation map ------------------------------------------------------------
 
+def iterate(d, phi, n):
+    """n-fold composition of the relaxation map d; n = 0 returns phi."""
+    for _ in range(n):
+        phi = d(phi)
+    return phi
+
+
 def test_relax_hand_value():
     # 0.5*0.2 + 0.5*0.2^2 = 0.12
-    assert gc.relax(geometric_case(), 1.0, 1.0, 0.2) == pytest.approx(0.12, rel=1e-15)
+    assert gc.RelaxationMap(geometric_case(), 1.0, 1.0)(0.2) == pytest.approx(0.12, rel=1e-15)
 
 
 def test_relax_linear_when_omega_zero():
     b = geometric_case(L=0.0)
     for phi in (0.0, 0.3, 1.7):
-        assert gc.relax(b, 1.0, 2.0, phi) == pytest.approx(0.5 * phi, abs=0)
+        assert gc.RelaxationMap(b, 1.0, 2.0)(phi) == pytest.approx(0.5 * phi, abs=0)
 
 
 def test_relax_at_zero():
-    assert gc.relax(geometric_case(), 2.0, 1.0, 0.0) == 0.0
+    assert gc.RelaxationMap(geometric_case(), 2.0, 1.0)(0.0) == 0.0
 
 
 def test_relax_iterate_identity_at_zero_steps():
-    assert gc.relax_iterate(geometric_case(), 1.0, 1.0, 0.37, 0) == 0.37
+    assert iterate(gc.RelaxationMap(geometric_case(), 1.0, 1.0), 0.37, 0) == 0.37
 
 
 def test_relax_iterate_geometric():
     b = geometric_case(L=0.0)
-    assert gc.relax_iterate(b, 1.0, 1.0, 1.0, 3) == pytest.approx(0.125, rel=1e-15)
+    assert iterate(gc.RelaxationMap(b, 1.0, 1.0), 1.0, 3) == pytest.approx(0.125, rel=1e-15)
 
 
 def test_relax_iterate_two_compositions():
-    got = gc.relax_iterate(geometric_case(), 1.0, 1.0, 0.2, 2)
+    got = iterate(gc.RelaxationMap(geometric_case(), 1.0, 1.0), 0.2, 2)
     assert got == pytest.approx(0.0672, rel=1e-12)
     assert got == pytest.approx(d_ref(d_ref(0.2)), rel=1e-15)
 
@@ -142,7 +144,8 @@ def test_relax_iterate_two_compositions():
 def test_relax_increasing_and_convex(mu, L, lt, sigma):
     b = gc.BoundData(lam=lt, theta=1.0, omega=gc.LipschitzModulus(L), R=10.0, mu=mu)
     phis = np.linspace(0.0, 2.0, 41)
-    vals = [gc.relax(b, sigma, 1.0, p) for p in phis]
+    d = gc.RelaxationMap(b, sigma, 1.0)
+    vals = [d(p) for p in phis]
     diffs = np.diff(vals)
     assert np.all(diffs >= -1e-14)          # increasing
     assert np.all(np.diff(diffs) >= -1e-12)  # convex
@@ -210,13 +213,14 @@ def test_majorant_sum_functional_equation(mu, L, lt, sigma, frac):
     b = gc.BoundData(lam=lt, theta=1.0, omega=gc.LipschitzModulus(L), R=10.0, mu=mu)
     phi = frac * gc.smallest_fixed_point(b, sigma, 1.0)
     w = gc.majorant_sum(b, sigma, 1.0, phi)
-    dphi = gc.relax(b, sigma, 1.0, phi)
+    d = gc.RelaxationMap(b, sigma, 1.0)
+    dphi = d(phi)
     w_next = gc.majorant_sum(b, sigma, 1.0, dphi)
     assert w == pytest.approx(phi + w_next, rel=1e-9)
     assert w <= phi * phi / (phi - dphi) * (1.0 + 1e-12)
     assert w >= phi
     # iterates decrease strictly below the fixed point
-    its = [gc.relax_iterate(b, sigma, 1.0, phi, n) for n in range(6)]
+    its = [iterate(d, phi, n) for n in range(6)]
     assert all(b2 <= a2 for a2, b2 in zip(its, its[1:]))
 
 
@@ -321,7 +325,7 @@ def test_apriori_bound_examples():
 def test_apriori_bound_composes_relax_and_sum():
     b = geometric_case()
     cert = gc.certify(b, 1.0, 0.2)
-    d1 = gc.relax(b, 1.0, cert.r, 0.2)
+    d1 = gc.RelaxationMap(b, 1.0, cert.r)(0.2)
     expected = gc.majorant_sum(b, 1.0, cert.r, d1)
     assert gc.apriori_bound(cert, b, 1) == pytest.approx(expected, rel=1e-12)
 
@@ -353,15 +357,15 @@ def test_aposteriori_bound_divergence():
 def test_rate_bounds_examples():
     b = geometric_case(L=0.0)
     cert = gc.certify(b, 1.0, 0.2)
-    assert gc.rate_bounds(cert, b) == (pytest.approx(0.5), pytest.approx(0.5))
+    assert (cert.velo_bound, cert.linear_rate) == (pytest.approx(0.5), pytest.approx(0.5))
     bq = geometric_case()
     certq = gc.certify(bq, 1.0, 0.2)
-    velo, rate = gc.rate_bounds(certq, bq)
+    velo, rate = certq.velo_bound, certq.linear_rate
     assert velo == pytest.approx(0.6, rel=1e-12)  # d(r, 0.2)/0.2 = 0.12/0.2
     assert rate == 0.5
     # velo tends to mu as a -> 0
     tiny = gc.certify(bq, 1.0, 1e-9)
-    v_tiny, _ = gc.rate_bounds(tiny, bq)
+    v_tiny = tiny.velo_bound
     assert v_tiny == pytest.approx(0.5, abs=1e-8)
 
 
