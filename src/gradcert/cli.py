@@ -205,6 +205,8 @@ def _jsonable(obj):
         return f if math.isfinite(f) else repr(f)
     if isinstance(obj, np.integer):
         return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         # a field left out of repr (the certificate's relaxation map) is not reported
         return {f.name: _jsonable(getattr(obj, f.name))

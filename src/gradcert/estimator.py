@@ -15,14 +15,21 @@ backstop that catches an understated bound at run time.
 points and directions once, evaluates ``f`` and the Jacobian once per ball
 point and once per extra axis point of the Lipschitz pairs, and then
 polishes the worst acuteness ratio and the largest step-size ratio.  The
-``Estimates`` record it returns holds the five values; the ``estimate_*``
-functions read that record.
+``Estimates`` record it returns holds the five values as Python floats;
+the ``estimate_*`` functions read that record.
+
+The polish is a coordinate descent.  Its direction sweeps score every
+remaining candidate in one block call and accept the first improving one;
+the candidates after an accepted one are rebuilt from the new direction
+and scored again, so the descent takes the steps, and returns the values,
+of a sweep that scores one candidate at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import gt, lt
 
 import numpy as np
 
@@ -30,7 +37,8 @@ from .errors import ArgumentError, AssumptionError
 from .majorant import BoundData, LipschitzModulus
 from .methods import MethodSpec
 # bench/tracer.py wraps norm, norm_rows and semiscalar_rows as globals of this module
-from .spaces import EUCLIDEAN, SpaceGeometry, norm, norm_rows, semiscalar_rows
+from .spaces import (EUCLIDEAN, SpaceGeometry, duality_rows, norm, norm_each, norm_rows,
+                     semiscalar_rows)
 
 
 @dataclass(frozen=True)
@@ -129,28 +137,86 @@ def _operator(method: MethodSpec, J: np.ndarray) -> np.ndarray:
     return J @ J.T if method.uses_adjoint else J
 
 
-def _acute_ratios(space, H: np.ndarray, B: np.ndarray) -> np.ndarray:
-    W = H @ B.T
-    nh = norm_rows(space, H)
-    nw = norm_rows(space, W)
-    num = semiscalar_rows(space, H, W)
-    den = nh * nw
+def _acuteness(space, H: np.ndarray, W: np.ndarray, nh: np.ndarray, duality) -> np.ndarray:
+    """[h, w] / (||h|| ||w||) for each row h of H and its image row w in W.
+
+    ``nh`` is ``norm_rows(space, H)`` and ``duality`` is
+    ``duality_rows(space, H)``, which the polish's point sweep takes once.
+    """
+    den = nh * norm_rows(space, W)
+    num = semiscalar_rows(space, H, W, duality)
     # a vanishing image direction means the acuteness property fails outright
-    return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
+    return np.divide(num, den, out=np.zeros(len(den)), where=den > 0.0)
 
 
-# One-row version for the polish, which scores one candidate at a time.
-# It makes the kernel calls of the row version on a 1-row block, so the
-# values are the same bit for bit.  Candidates must not be batched: a
-# many-row ``H @ B.T`` can round a row differently from a 1-row product.
+def _acute_ratios(space, H: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Acuteness ratio of each row of H, imaged by one 2-D product ``H @ B.T``."""
+    return _acuteness(space, H, H @ B.T, norm_rows(space, H), None)
+
+
+# The polish scores its candidates in blocks of rows, and each row must
+# round as it would on its own.  A 2-D ``H @ B.T`` (gemm) can round a row
+# differently from a 1-row product (gemv), so the polish images its rows by
+# stacked 1-row products, which make that gemv for every row: ``h B^T`` as
+# ``(H[:, None, :] @ B.T)[:, 0, :]`` and ``B h`` as
+# ``(B[None] @ H[:, :, None])[:, :, 0]``.  ``norm_rows``, ``semiscalar_rows``
+# and ``norm_each`` give a row the same value in a block of any size.
+
+class _AcuteRatio:
+    """The acuteness ratio as a polish objective, to be minimized."""
+
+    minimize = True
+
+    def __init__(self, space):
+        self.space = space
+
+    def terms(self, H):
+        """The parts of the ratio that depend on the directions alone."""
+        return norm_rows(self.space, H), duality_rows(self.space, H)
+
+    def __call__(self, B, H, terms):
+        return _acuteness(self.space, H, (H[:, None, :] @ B.T)[:, 0, :], *terms)
+
 
 def _acute_ratio(space, h: np.ndarray, B: np.ndarray) -> float:
-    """``_acute_ratios`` for the single direction h."""
+    """``_acute_ratios`` for the single direction h, by a 1-row product."""
+    objective = _AcuteRatio(space)
     H = h[None, :]
-    W = H @ B.T
-    den = norm_rows(space, H)[0] * norm_rows(space, W)[0]
-    num = semiscalar_rows(space, H, W)[0]
-    return float(num / den) if den > 0.0 else 0.0
+    return float(objective(B, H, objective.terms(H))[0])
+
+
+class _StepRatio:
+    """The step-size ratio of the method's step family, to be maximized.
+
+    Minimal-quadratic families take [h, Bh] / (sigma ||Bh||^2), relaxed
+    families ||h||^2 / (vartheta [h, Bh]); a ratio without a positive
+    denominator is unbounded.
+    """
+
+    minimize = False
+
+    def __init__(self, space, method: MethodSpec):
+        self.space, self.sigma = space, space.sigma
+        self.minimal_quadratic = method.mu_family == "min"
+        self.th = method.effective_vartheta
+
+    def terms(self, H):
+        """The parts of the ratio that depend on the directions alone."""
+        if self.minimal_quadratic:
+            return duality_rows(self.space, H), None
+        # squares taken on Python floats, whose power can round unlike numpy's
+        return duality_rows(self.space, H), [v ** 2 for v in norm_each(self.space, H)]
+
+    def __call__(self, B, H, terms):
+        duality, h_sq = terms
+        W = (B[None] @ H[:, :, None])[:, :, 0]
+        num = semiscalar_rows(self.space, H, W, duality).tolist()
+        if self.minimal_quadratic:
+            sigma = self.sigma
+            den = [sigma * v ** 2 for v in norm_each(self.space, W)]
+            return [a / d if d > 0.0 else math.inf for a, d in zip(num, den)]
+        th = self.th
+        return [s / (th * a) if a > 0.0 else math.inf for s, a in zip(h_sq, num)]
 
 
 def _project_ball(space, center, r, x):
@@ -161,40 +227,57 @@ def _project_ball(space, center, r, x):
     return x
 
 
-def _polish(objective, operator, space, center, r, x, h, minimize: bool,
-            iters: int = 40):
-    """Projected coordinate descent over (ball point, unit direction).
+def _polish(objective, operator, space, center, r, x, h, iters: int = 40):
+    """Projected coordinate descent over (ball point, unit direction h).
 
-    ``objective(B, h)`` scores the direction h against ``B = operator(x)``.
-    The direction sweep keeps x, so it reuses B; each point candidate
-    builds its own B, which becomes the current one if it is accepted.
-    Returns the best value.
+    ``objective(B, H, objective.terms(H))`` scores each row direction of H
+    against ``B = operator(x)``; ``objective.minimize`` says which way is
+    better.  A sweep tries the 2n direction candidates ``h +- step e_j``,
+    accepting each one that improves, and then the point candidates
+    ``x +- step r e_j`` in the same way.  Returns the best value.
+
+    The direction sweep keeps B, so it scores every remaining candidate in
+    one call and accepts the first improving one in sweep order.  The later
+    candidates of that block were built from the old h; they are built again
+    from the new h and scored in a new block, so the accepted sequence is
+    the one-at-a-time sweep's.  No candidate is zero, as h has norm 1 and a
+    step at most 1/4.  The point sweep keeps h, so the direction terms are
+    taken once per sweep, and each point candidate builds its own B, lazily
+    and in order, which becomes the current one if it is accepted.
     """
+    better = lt if objective.minimize else gt
+    n = len(h)
+    rows, cols = np.arange(2 * n), np.arange(2 * n) // 2  # candidate k moves h[k // 2]
+    signs = np.tile([1.0, -1.0], n)
     B = operator(x)
-    best = objective(B, h)
+    H = h[None, :]
+    best = objective(B, H, objective.terms(H))[0]
     step = 0.25
     for _ in range(iters):
         improved = False
-        for j in range(len(h)):
-            for s in (step, -step):
-                hc = h.copy()
-                hc[j] += s
-                nh = norm(space, hc)
-                if nh == 0.0:
-                    continue
-                hc /= nh
-                v = objective(B, hc)
-                if (v < best) if minimize else (v > best):
-                    best, h, improved = v, hc, True
+        moves = step * signs
+        k = 0
+        while k < 2 * n:
+            Hc = np.repeat(h[None, :], 2 * n - k, axis=0)
+            Hc[rows[:2 * n - k], cols[k:]] += moves[k:]
+            Hc /= np.array(norm_each(space, Hc))[:, None]
+            v = objective(B, Hc, objective.terms(Hc))
+            i = next((i for i, vi in enumerate(v) if better(vi, best)), None)
+            if i is None:
+                break
+            best, h, improved = v[i], Hc[i], True
+            k += i + 1
         if r > 0.0:
+            H = h[None, :]
+            terms = objective.terms(H)
             for j in range(len(x)):
                 for s in (step * r, -step * r):
                     xc = x.copy()
                     xc[j] += s
                     xc = _project_ball(space, center, r, xc)
                     Bc = operator(xc)
-                    v = objective(Bc, h)
-                    if (v < best) if minimize else (v > best):
+                    v = objective(Bc, H, terms)[0]
+                    if better(v, best):
                         best, x, B, improved = v, xc, Bc, True
         if not improved:
             step *= 0.5
@@ -345,24 +428,17 @@ def sample_estimates(problem, method: MethodSpec, space: SpaceGeometry,
         def operator(x):
             return _operator(method, _jacobian(problem, x))
 
-        def lam_objective(B, h):
-            w = B @ h
-            num = semiscalar_rows(space, h[None, :], w[None, :])[0]
-            if minimal_quadratic:
-                den = space.sigma * norm(space, w) ** 2
-                return num / den if den > 0 else math.inf
-            return norm(space, h) ** 2 / (th * num) if num > 0 else math.inf
-
         if nu > 0.0:
-            nu = _polish(lambda B, h: _acute_ratio(space, h, B), operator,
-                         space, center, r, *nu_xh, minimize=True)
+            nu = _polish(_AcuteRatio(space), operator, space, center, r, *nu_xh)
         if np.isfinite(lam):
-            lam = _polish(lam_objective, operator, space, center, r,
-                          *lam_xh, minimize=False)
+            lam = _polish(_StepRatio(space, method), operator, space, center, r,
+                          *lam_xh)
+    # plain floats: the polish returns numpy scalars, which reports cannot take
+    omega = lip.value()
     return Estimates(
-        nu_tilde=nu, lambda_tilde=lam,
-        nu_trajectory=traj if np.isfinite(traj) else None,
-        theta=theta, omega_lipschitz=lip.value())
+        nu_tilde=float(nu), lambda_tilde=float(lam),
+        nu_trajectory=float(traj) if np.isfinite(traj) else None,
+        theta=float(theta), omega_lipschitz=None if omega is None else float(omega))
 
 
 # span target "estimator.nu_tilde" of bench/tracer.py

@@ -153,23 +153,61 @@ def duality_map(space: SpaceGeometry, x) -> np.ndarray:
 
 def norm_rows(space: SpaceGeometry, X: np.ndarray) -> np.ndarray:
     if space.kind == EUCLIDEAN:
-        return np.linalg.norm(X, axis=1)
+        # the formula of np.linalg.norm(X, axis=1), without its dispatch
+        return np.sqrt(np.add.reduce(X * X, axis=1))
     m = np.max(np.abs(X), axis=1)
     safe = np.where(m > 0.0, m, 1.0)
     return m * np.sum(np.abs(X / safe[:, None]) ** space.p, axis=1) ** (1.0 / space.p)
 
 
-def semiscalar_rows(space: SpaceGeometry, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def norm_each(space: SpaceGeometry, X: np.ndarray) -> list[float]:
+    """``norm`` of each row of X, bit for bit, in a few array calls.
+
+    ``norm_rows`` rounds differently.  Euclidean rows take stacked 1-row
+    products, which make the ddot of ``w.dot(w)``; l_p rows take the
+    (1/p)-th power on Python floats, as ``_pnorm`` does, because an array
+    power can round differently.  Raises like ``norm`` when a row has a
+    non-finite entry.
+    """
     if space.kind == EUCLIDEAN:
-        return np.einsum("ij,ij->i", X, Y)
-    out = np.zeros(len(X))
+        out = np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0]).tolist()
+    else:
+        p = space.p
+        m = np.max(np.abs(X), axis=1)
+        s = np.sum(np.abs(X / np.where(m > 0.0, m, 1.0)[:, None]) ** p, axis=1)
+        out = [mi * si ** (1.0 / p) if 0.0 < mi < math.inf else mi
+               for mi, si in zip(m.tolist(), s.tolist())]
+    # a row with a non-finite entry has a non-finite norm
+    if not all(map(math.isfinite, out)) and not np.isfinite(X).all():
+        raise ArgumentError("vector has non-finite entries")
+    return out
+
+
+def duality_rows(space: SpaceGeometry, X: np.ndarray):
+    """The duality map of the rows of X in the factored form ``semiscalar_rows`` pairs.
+
+    Returns (nz, c, W): the mask of rows with a nonzero entry, and for those
+    rows J x = c * w, rescaled as in ``_duality_parts``.  None in Euclidean
+    space, where J is the identity.  A caller that pairs the same X against
+    several Y computes this once and passes it to each ``semiscalar_rows``.
+    """
+    if space.kind == EUCLIDEAN:
+        return None
     m = np.max(np.abs(X), axis=1)
     nz = m > 0.0
-    if np.any(nz):
-        U = X[nz] / m[nz, None]
-        nu_ = np.sum(np.abs(U) ** space.p, axis=1) ** (1.0 / space.p)
-        W = np.abs(U) ** (space.p - 1.0) * np.sign(U)
-        out[nz] = m[nz] * nu_ ** (2.0 - space.p) * np.einsum("ij,ij->i", W, Y[nz])
+    U = X[nz] / m[nz, None]
+    nu_ = np.sum(np.abs(U) ** space.p, axis=1) ** (1.0 / space.p)
+    return nz, m[nz] * nu_ ** (2.0 - space.p), np.abs(U) ** (space.p - 1.0) * np.sign(U)
+
+
+def semiscalar_rows(space: SpaceGeometry, X: np.ndarray, Y: np.ndarray,
+                    duality=None) -> np.ndarray:
+    """[x, y] for each row pair; ``duality`` is ``duality_rows(space, X)`` if known."""
+    if space.kind == EUCLIDEAN:
+        return np.einsum("ij,ij->i", X, Y)
+    nz, c, W = duality_rows(space, X) if duality is None else duality
+    out = np.zeros(len(X))
+    out[nz] = c * np.einsum("ij,ij->i", W, Y[nz])
     return out
 
 
@@ -221,8 +259,9 @@ def _check_block(space, sig, tol, X, Y, Y2, lam, a1, a2, worst, nviol) -> None:
     """Fold one block of sampled rows into the running worst slacks and counts."""
     nX = norm_rows(space, X)
     nY = norm_rows(space, Y)
-    sxx = semiscalar_rows(space, X, X)
-    sxy = semiscalar_rows(space, X, Y)
+    dX = duality_rows(space, X)  # X is the first slot of four of the pairings
+    sxx = semiscalar_rows(space, X, X, dX)
+    sxy = semiscalar_rows(space, X, Y, dX)
 
     def _update(name, slack, scale_, witness_rows):
         normed = slack / np.maximum(1.0, scale_)
@@ -238,8 +277,8 @@ def _check_block(space, sig, tol, X, Y, Y2, lam, a1, a2, worst, nviol) -> None:
     _update("first_slot_homogeneity", -np.abs(slxy - lam * sxy),
             np.abs(lam) * np.abs(sxy) + nX * nY, (X, Y, lam))
     # (c) linearity in the second slot
-    comb = semiscalar_rows(space, X, a1[:, None] * Y + a2[:, None] * Y2)
-    parts = a1 * sxy + a2 * semiscalar_rows(space, X, Y2)
+    comb = semiscalar_rows(space, X, a1[:, None] * Y + a2[:, None] * Y2, dX)
+    parts = a1 * sxy + a2 * semiscalar_rows(space, X, Y2, dX)
     _update("second_slot_linearity", -np.abs(comb - parts),
             np.abs(comb) + np.abs(parts) + nX * (nY + norm_rows(space, Y2)), (X, Y, Y2))
     # (d) [x, y] <= ||x|| ||y||

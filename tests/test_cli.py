@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from gradcert import cli
@@ -310,3 +311,8 @@ def test_negative_seed_is_config_error(tmp_path, capsys, command, via):
         cfg["run"]["seed"] = -1
     assert cli.main([command, "--config", write_config(tmp_path, **cfg), *seed_flag]) == 1
     assert capsys.readouterr().err.startswith("config error at ")
+
+
+def test_report_values_may_be_numpy_scalars():
+    report = {"ok": np.bool_(True), "x": np.float64(0.5), "n": np.int64(3)}
+    assert json.dumps(cli._jsonable(report)) == '{"ok": true, "x": 0.5, "n": 3}'

@@ -189,7 +189,12 @@ def _counting(problem):
      (0.6846325042023059, 0.3333333333333333, 0.6855328440985307, 1.0, 0.0)),
     (gc.linear_spd(1, 3, 3), gc.MethodSpec(gc.MIN_CO_ERROR), EUC,
      (0.600000000000001, 1.0, 0.6394463287868006, 3.0, 0.0)),
-], ids=["chandrasekhar20-sd", "spd3-lp4-banach-minres", "spd3-min-co-error"])
+    # the lp-geometry benchmark's estimator path: l_6, sigma = 5
+    (gc.chandrasekhar(0.5, 6), gc.MethodSpec(gc.BANACH_MIN_RESIDUAL), gc.sequence_p(6),
+     (0.872120175842647, 0.29521077009361973, 0.9828548320392644, 1.0,
+      0.07523932577442469)),
+], ids=["chandrasekhar20-sd", "spd3-lp4-banach-minres", "spd3-min-co-error",
+        "chandrasekhar6-lp6-banach-minres"])
 def test_sample_estimates_values_pinned(problem, method, space, expected):
     est = gc.sample_estimates(problem, method, space, problem.R, SHIPPED_PLAN)
     got = (est.nu_tilde, est.lambda_tilde, est.nu_trajectory, est.theta,
@@ -206,6 +211,16 @@ def test_sample_estimates_values_pinned(problem, method, space, expected):
     bounds = gc.estimated_bound_data(problem, method, space, SHIPPED_PLAN)
     assert (bounds.lam, bounds.theta, bounds.omega.constant(r)) == (
         est.lambda_tilde, est.theta, est.omega_lipschitz)
+
+
+def test_estimates_are_plain_floats():
+    # the polish scores with numpy; the record holds what reports can write
+    p = gc.chandrasekhar(0.5, 6)
+    est = gc.sample_estimates(p, gc.MethodSpec(gc.BANACH_MIN_RESIDUAL), gc.sequence_p(6),
+                              p.R, SHIPPED_PLAN)
+    assert SHIPPED_PLAN.refine
+    for value in dataclasses.astuple(est):
+        assert type(value) is float
 
 
 def test_failed_assumptions_report_acuteness_first():

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import gradcert as gc
 from gradcert.errors import ArgumentError
-from gradcert.spaces import _AXIOM_BLOCK, _pnorm, _sample_blocks, _structured_pairs
+from gradcert.spaces import (_AXIOM_BLOCK, _pnorm, _sample_blocks, _structured_pairs,
+                             duality_rows, semiscalar_rows)
 
 P_VALUES = [2.0, 2.5, 3.0, 4.0, 7.0]
 
@@ -161,6 +162,22 @@ def test_semiscalar_bounded_by_norms(x, y, p):
 
 
 # --- duality map ------------------------------------------------------------
+
+@pytest.mark.parametrize("space", [gc.euclidean(), gc.sequence_p(2.5), gc.sequence_p(4)],
+                         ids=["euclidean", "p2.5", "p4"])
+def test_semiscalar_rows_with_shared_duality_parts(space):
+    # one set of duality parts of X serves every Y it is paired with; a zero
+    # row of X pairs to 0 (the J0 = 0 convention)
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((6, 4)) * 10.0 ** rng.uniform(-3, 3, (6, 1))
+    X[2] = 0.0
+    parts = duality_rows(space, X)
+    for Y in rng.standard_normal((3, 6, 4)):
+        got = semiscalar_rows(space, X, Y, parts)
+        assert got[2] == 0.0
+        for g, x, y in zip(got, X, Y):
+            assert rel_close(g, gc.semiscalar(space, x, y), 1e-13, gc.norm(space, x) * gc.norm(space, y))
+
 
 def test_duality_map_euclidean_identity():
     x = np.array([1.0, 2.0])
