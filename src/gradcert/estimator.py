@@ -18,11 +18,13 @@ polishes the worst acuteness ratio and the largest step-size ratio.  The
 ``Estimates`` record it returns holds the five values as Python floats;
 the ``estimate_*`` functions read that record.
 
-The polish is a coordinate descent.  Its direction sweeps score every
-remaining candidate in one block call and accept the first improving one;
-the candidates after an accepted one are rebuilt from the new direction
-and scored again, so the descent takes the steps, and returns the values,
-of a sweep that scores one candidate at a time.
+The polish is a coordinate descent.  Its sweeps score candidates in
+blocks and accept the first improving one: a direction sweep scores every
+remaining candidate in one call, and a point sweep the next 8, whose
+Jacobians come from one stacked ``problem.jacobian`` call.  The candidates
+after an accepted one are rebuilt from the new direction or point and
+scored again, so the descent takes the steps, and returns the values, of a
+sweep that scores one candidate at a time.
 """
 
 from __future__ import annotations
@@ -129,12 +131,21 @@ def _direction_set(dim: int, n: int, rng, space) -> np.ndarray:
 
 
 def _jacobian(problem, x: np.ndarray) -> np.ndarray:
-    return np.asarray(problem.jacobian(x), dtype=float)
+    """J(x) at one point x, or the (k, n, n) stack of J at each row of a (k, n) stack x."""
+    J = np.asarray(problem.jacobian(x), dtype=float)
+    if J.shape != x.shape + x.shape[-1:]:
+        raise ArgumentError(
+            f"jacobian of problem {problem.name!r} at points of shape {x.shape} has "
+            f"shape {J.shape}, expected {x.shape + x.shape[-1:]}")
+    return J
 
 
 def _operator(method: MethodSpec, J: np.ndarray) -> np.ndarray:
-    """The operator B whose image the step scalars read: J J^T for adjoint families, else J."""
-    return J @ J.T if method.uses_adjoint else J
+    """The operator B whose image the step scalars read: J J^T for adjoint families, else J.
+
+    J is one Jacobian or a stack of them; a stack gives a stack of operators.
+    """
+    return J @ np.swapaxes(J, -1, -2) if method.uses_adjoint else J
 
 
 def _acuteness(space, H: np.ndarray, W: np.ndarray, nh: np.ndarray, duality) -> np.ndarray:
@@ -158,8 +169,9 @@ def _acute_ratios(space, H: np.ndarray, B: np.ndarray) -> np.ndarray:
 # round as it would on its own.  A 2-D ``H @ B.T`` (gemm) can round a row
 # differently from a 1-row product (gemv), so the polish images its rows by
 # stacked 1-row products, which make that gemv for every row: ``h B^T`` as
-# ``(H[:, None, :] @ B.T)[:, 0, :]`` and ``B h`` as
-# ``(B[None] @ H[:, :, None])[:, :, 0]``.  ``norm_rows``, ``semiscalar_rows``
+# ``(H[:, None, :] @ B^T)[:, 0, :]`` and ``B h`` as ``(B @ H[:, :, None])[:, :, 0]``.
+# B is one operator for every row, or a stack of one operator per row; the
+# same products broadcast over either.  ``norm_rows``, ``semiscalar_rows``
 # and ``norm_each`` give a row the same value in a block of any size.
 
 class _AcuteRatio:
@@ -175,7 +187,8 @@ class _AcuteRatio:
         return norm_rows(self.space, H), duality_rows(self.space, H)
 
     def __call__(self, B, H, terms):
-        return _acuteness(self.space, H, (H[:, None, :] @ B.T)[:, 0, :], *terms)
+        W = (H[:, None, :] @ np.swapaxes(B, -1, -2))[:, 0, :]
+        return _acuteness(self.space, H, W, *terms)
 
 
 def _acute_ratio(space, h: np.ndarray, B: np.ndarray) -> float:
@@ -190,7 +203,9 @@ class _StepRatio:
 
     Minimal-quadratic families take [h, Bh] / (sigma ||Bh||^2), relaxed
     families ||h||^2 / (vartheta [h, Bh]); a ratio without a positive
-    denominator is unbounded.
+    denominator is unbounded.  A minimal-quadratic row whose image has a
+    non-finite entry scores None: the norm of one such image raises, so the
+    polish raises when it reaches that row.
     """
 
     minimize = False
@@ -209,49 +224,83 @@ class _StepRatio:
 
     def __call__(self, B, H, terms):
         duality, h_sq = terms
-        W = (B[None] @ H[:, :, None])[:, :, 0]
+        W = (B @ H[:, :, None])[:, :, 0]
         num = semiscalar_rows(self.space, H, W, duality).tolist()
         if self.minimal_quadratic:
             sigma = self.sigma
             den = [sigma * v ** 2 for v in norm_each(self.space, W)]
-            return [a / d if d > 0.0 else math.inf for a, d in zip(num, den)]
+            values = [a / d if d > 0.0 else math.inf for a, d in zip(num, den)]
+            for i, d in enumerate(den):
+                if not math.isfinite(d) and not np.isfinite(W[i]).all():
+                    values[i] = None
+            return values
         th = self.th
         return [s / (th * a) if a > 0.0 else math.inf for s, a in zip(h_sq, num)]
 
 
-def _project_ball(space, center, r, x):
-    d = x - center
-    nd = norm(space, d)
-    if nd > r:
-        return center + d * (r / nd) if r > 0 else center.copy()
-    return x
+def _project_rows(space, center, r, X):
+    """Each row of X moved radially onto the ball of radius r > 0 about center if outside it.
+
+    Row for row the arithmetic of one point's projection; X is updated in place.
+    """
+    D = X - center
+    nd = np.array(norm_each(space, D))
+    out = nd > r
+    if out.any():
+        X[out] = center + D[out] * (r / nd[out])[:, None]
+    return X
 
 
-def _polish(objective, operator, space, center, r, x, h, iters: int = 40):
+_POINT_BLOCK = 8  # point candidates per stacked Jacobian call
+_NON_FINITE_IMAGE = "the operator image of a polish candidate has non-finite entries"
+
+
+def _first_better(values, best, better):
+    """Index of the first value that improves on best, or None.
+
+    A None value marks a row that would have raised had it been scored on its
+    own; it raises here only if no earlier row improves, so a row scored
+    after the accepted one never raises.
+    """
+    for i, v in enumerate(values):
+        if v is None:
+            raise ArgumentError(_NON_FINITE_IMAGE)
+        if better(v, best):
+            return i
+    return None
+
+
+def _polish(objective, operator, space, center, r, x, h, iters: int = 40, path=None):
     """Projected coordinate descent over (ball point, unit direction h).
 
     ``objective(B, H, objective.terms(H))`` scores each row direction of H
-    against ``B = operator(x)``; ``objective.minimize`` says which way is
-    better.  A sweep tries the 2n direction candidates ``h +- step e_j``,
-    accepting each one that improves, and then the point candidates
-    ``x +- step r e_j`` in the same way.  Returns the best value.
+    against ``B = operator(x)``, or against the matching operator of a stack
+    ``operator(X)`` of one point per row; ``objective.minimize`` says which
+    way is better.  A sweep tries the 2n direction candidates
+    ``h +- step e_j``, accepting each one that improves, and then the point
+    candidates ``x +- step r e_j`` in the same way.  Returns the best value;
+    each accepted (x, h) is appended to ``path`` if one is given.
 
-    The direction sweep keeps B, so it scores every remaining candidate in
-    one call and accepts the first improving one in sweep order.  The later
-    candidates of that block were built from the old h; they are built again
-    from the new h and scored in a new block, so the accepted sequence is
-    the one-at-a-time sweep's.  No candidate is zero, as h has norm 1 and a
-    step at most 1/4.  The point sweep keeps h, so the direction terms are
-    taken once per sweep, and each point candidate builds its own B, lazily
-    and in order, which becomes the current one if it is accepted.
+    Both sweeps score a block of candidates in one call and accept the first
+    improving one in sweep order.  The later candidates of that block were
+    built from the old h or x; they are built again from the new one and
+    scored in a new block, so the accepted sequence is the one-at-a-time
+    sweep's.  The direction sweep keeps B, so its block is every remaining
+    candidate; no candidate is zero, as h has norm 1 and a step at most 1/4.
+    The point sweep keeps h, so the direction terms are taken once per
+    sweep, and its block is the next ``_POINT_BLOCK`` candidates, whose
+    operators come from one stacked Jacobian call; the operator of the
+    accepted point becomes the current B.
     """
     better = lt if objective.minimize else gt
     n = len(h)
-    rows, cols = np.arange(2 * n), np.arange(2 * n) // 2  # candidate k moves h[k // 2]
+    rows, cols = np.arange(2 * n), np.arange(2 * n) // 2  # candidate k moves coordinate k // 2
     signs = np.tile([1.0, -1.0], n)
     B = operator(x)
     H = h[None, :]
     best = objective(B, H, objective.terms(H))[0]
+    if best is None:
+        raise ArgumentError(_NON_FINITE_IMAGE)
     step = 0.25
     for _ in range(iters):
         improved = False
@@ -262,23 +311,36 @@ def _polish(objective, operator, space, center, r, x, h, iters: int = 40):
             Hc[rows[:2 * n - k], cols[k:]] += moves[k:]
             Hc /= np.array(norm_each(space, Hc))[:, None]
             v = objective(B, Hc, objective.terms(Hc))
-            i = next((i for i, vi in enumerate(v) if better(vi, best)), None)
+            i = _first_better(v, best, better)
             if i is None:
                 break
             best, h, improved = v[i], Hc[i], True
+            if path is not None:
+                path.append((x, h))
             k += i + 1
         if r > 0.0:
-            H = h[None, :]
+            moves = (step * r) * signs
+            H = np.repeat(h[None, :], min(_POINT_BLOCK, 2 * n), axis=0)
             terms = objective.terms(H)
-            for j in range(len(x)):
-                for s in (step * r, -step * r):
-                    xc = x.copy()
-                    xc[j] += s
-                    xc = _project_ball(space, center, r, xc)
-                    Bc = operator(xc)
-                    v = objective(Bc, H, terms)[0]
-                    if better(v, best):
-                        best, x, B, improved = v, xc, Bc, True
+            k = 0
+            while k < 2 * n:
+                m = min(_POINT_BLOCK, 2 * n - k)
+                if m < len(H):
+                    H = H[:m]
+                    terms = objective.terms(H)
+                Xc = np.repeat(x[None, :], m, axis=0)
+                Xc[rows[:m], cols[k:k + m]] += moves[k:k + m]
+                Xc = _project_rows(space, center, r, Xc)
+                Bc = operator(Xc)
+                v = objective(Bc, H, terms)
+                i = _first_better(v, best, better)
+                if i is None:
+                    k += m
+                    continue
+                best, x, B, improved = v[i], Xc[i], Bc[i], True
+                if path is not None:
+                    path.append((x, h))
+                k += i + 1
         if not improved:
             step *= 0.5
             if step < 1e-7:

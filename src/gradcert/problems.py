@@ -5,6 +5,11 @@ map f, its Jacobian, a center x0 and working-ball radius R, and (where a
 closed-form derivation exists) certified bound functions per step family.
 The derivations are recorded in each problem's bounds note so the
 certificates are auditable rather than magic.
+
+Every ``jacobian`` takes one point, shape (n,), and returns J(x), shape
+(n, n), or a stack of k points, shape (k, n), and returns the (k, n, n)
+stack of their Jacobians, each one bit for bit the one-point result.  The
+estimator's polish evaluates its point candidates in such stacks.
 """
 
 from __future__ import annotations
@@ -55,6 +60,13 @@ def _require_euclidean_sigma(sigma: float, name: str) -> None:
 def _antieigenvalues(m: float, M: float) -> tuple[float, float]:
     """nu of an SPD operator with spectrum in [m, M], and of its square (adjoint families)."""
     return 2.0 * math.sqrt(m * M) / (m + M), 2.0 * m * M / (m * m + M * M)
+
+
+def _constant_jacobian(A: np.ndarray):
+    """The Jacobian of an affine map: a copy of A per point of an (n,) point or (k, n) stack."""
+    def jacobian(x, _A=A):
+        return _A.copy() if np.ndim(x) == 1 else np.repeat(_A[None], len(x), axis=0)
+    return jacobian
 
 
 def _linear_bound_resolver(m: float, M: float, R: float, name: str):
@@ -121,7 +133,7 @@ def linear_spd(m: float = 1.0, M: float = 4.0, dim: int = 2, b=None, x0=None,
     return Problem(
         name=name, dim=dim,
         f=lambda x, _A=A, _b=b: _A @ x - _b,
-        jacobian=lambda x, _A=A: _A.copy(),
+        jacobian=_constant_jacobian(A),
         x0=x0, R=float(R), known_solution=x_star,
         certified_bounds=CertifiedBounds(_linear_bound_resolver(m, M, float(R), name)),
         params={"m": m, "M": M, "dim": dim, "rotate": rotate, "seed": seed})
@@ -149,7 +161,7 @@ def identity(dim: int = 3, b=None, R: float | None = None) -> Problem:
     return Problem(
         name=name, dim=dim,
         f=lambda x, _b=b: x - _b,
-        jacobian=lambda x, _d=dim: np.eye(_d),
+        jacobian=_constant_jacobian(np.eye(dim)),
         x0=np.zeros(dim), R=float(R), known_solution=b.copy(),
         certified_bounds=CertifiedBounds(resolve),
         params={"dim": dim})
@@ -203,10 +215,18 @@ def quad2d() -> Problem:
                   "0.1*sqrt(2)r over the r-ball; Jacobian Lipschitz "
                   "constant 0.2 (sharp along coordinate axes)"))
 
+    def jacobian(x):
+        x = np.asarray(x, dtype=float)
+        J = np.empty(x.shape[:-1] + (2, 2))
+        J[..., 0, 0] = J[..., 1, 1] = 1.0
+        J[..., 0, 1] = -0.2 * x[..., 1]
+        J[..., 1, 0] = -0.2 * x[..., 0]
+        return J
+
     return Problem(
         name=name, dim=2,
         f=lambda x: np.array([x[0] - 0.1 * x[1] ** 2, x[1] - 0.1 * x[0] ** 2]),
-        jacobian=lambda x: np.array([[1.0, -0.2 * x[1]], [-0.2 * x[0], 1.0]]),
+        jacobian=jacobian,
         x0=x0, R=R, known_solution=np.zeros(2),
         certified_bounds=CertifiedBounds(resolve),
         params={})
@@ -244,7 +264,7 @@ def scalar_quad(c: float = 0.1, x0: float = 0.0, R: float = 5.0) -> Problem:
     return Problem(
         name=name, dim=1,
         f=lambda x, _c=c: np.array([x[0] - 0.05 * x[0] ** 2 - _c]),
-        jacobian=lambda x: np.array([[1.0 - 0.1 * x[0]]]),
+        jacobian=lambda x: (1.0 - 0.1 * np.asarray(x, dtype=float)[..., :1])[..., None],
         x0=np.array([float(x0)]), R=float(R),
         known_solution=np.array([x_star]),
         certified_bounds=CertifiedBounds(resolve),
@@ -270,12 +290,17 @@ def chandrasekhar(c: float = 0.5, n: int = 20, R: float = 2.0) -> Problem:
         with np.errstate(divide="ignore", invalid="ignore"):
             return H - 1.0 / (1.0 - g)
 
-    def jacobian(H, _K=K, _I=np.eye(n)):
-        g = _K @ H
+    def jacobian(H, _K=K):
+        # the stacked gemv rounds each point's K H as the 1-point product does
+        g = (_K @ np.asarray(H, dtype=float)[..., None])[..., 0]
         with np.errstate(divide="ignore", invalid="ignore"):
             s = 1.0 / (1.0 - g)
-        J = (s * s)[:, None] * _K
-        return np.subtract(_I, J, out=J)
+        # I - diag(s^2) K without a pass over an identity: negate, then add 1
+        # on the diagonal; the bits are those of the subtraction wherever
+        # s_i^2 K_ij > 0, which K_ij > 0 gives inside the ball
+        J = (-(s * s))[..., None] * _K
+        J.reshape(-1, n * n)[:, ::n + 1] += 1.0
+        return J
 
     return Problem(
         name="chandrasekhar", dim=n, f=f, jacobian=jacobian,
@@ -289,7 +314,7 @@ def indefinite2d() -> Problem:
     return Problem(
         name="indefinite2d", dim=2,
         f=lambda x, _A=A: _A @ x,
-        jacobian=lambda x, _A=A: _A.copy(),
+        jacobian=_constant_jacobian(A),
         x0=np.array([1.0, 1.0]), R=4.0, known_solution=np.zeros(2),
         certified_bounds=None, params={})
 

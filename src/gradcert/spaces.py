@@ -166,21 +166,17 @@ def norm_each(space: SpaceGeometry, X: np.ndarray) -> list[float]:
     ``norm_rows`` rounds differently.  Euclidean rows take stacked 1-row
     products, which make the ddot of ``w.dot(w)``; l_p rows take the
     (1/p)-th power on Python floats, as ``_pnorm`` does, because an array
-    power can round differently.  Raises like ``norm`` when a row has a
-    non-finite entry.
+    power can round differently.  A row with a non-finite entry gets a
+    non-finite norm; unlike ``norm``, nothing raises, so that a caller
+    scoring a block can tell which row would have.
     """
     if space.kind == EUCLIDEAN:
-        out = np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0]).tolist()
-    else:
-        p = space.p
-        m = np.max(np.abs(X), axis=1)
-        s = np.sum(np.abs(X / np.where(m > 0.0, m, 1.0)[:, None]) ** p, axis=1)
-        out = [mi * si ** (1.0 / p) if 0.0 < mi < math.inf else mi
-               for mi, si in zip(m.tolist(), s.tolist())]
-    # a row with a non-finite entry has a non-finite norm
-    if not all(map(math.isfinite, out)) and not np.isfinite(X).all():
-        raise ArgumentError("vector has non-finite entries")
-    return out
+        return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0]).tolist()
+    p = space.p
+    m = np.max(np.abs(X), axis=1)
+    s = np.sum(np.abs(X / np.where(m > 0.0, m, 1.0)[:, None]) ** p, axis=1)
+    return [mi * si ** (1.0 / p) if 0.0 < mi < math.inf else mi
+            for mi, si in zip(m.tolist(), s.tolist())]
 
 
 def duality_rows(space: SpaceGeometry, X: np.ndarray):

@@ -171,12 +171,14 @@ SHIPPED_PLAN = gc.SamplePlan(seed=7, n_points=64, n_dirs=128, refine=True)
 
 
 def _counting(problem):
-    calls = [0]
+    """The problem with its Jacobian calls, and the points they take, counted."""
+    work = {"calls": 0, "rows": 0}
 
     def jacobian(x, _jac=problem.jacobian):
-        calls[0] += 1
+        work["calls"] += 1
+        work["rows"] += len(x) if x.ndim == 2 else 1
         return _jac(x)
-    return dataclasses.replace(problem, jacobian=jacobian), calls
+    return dataclasses.replace(problem, jacobian=jacobian), work
 
 
 @pytest.mark.parametrize("problem, method, space, expected", [
@@ -237,21 +239,26 @@ def test_estimator_jacobian_work_is_counted():
     # bound data plus a trajectory estimate: one full pass and one pass
     # without polishing (the trajectory ratio needs none)
     n = 20
-    p, calls = _counting(gc.chandrasekhar(0.5, n))
+    p, work = _counting(gc.chandrasekhar(0.5, n))
     gc.estimated_bound_data(p, SD, EUC, SHIPPED_PLAN)
     gc.estimate_nu_trajectory(p, SD, EUC, p.R, SHIPPED_PLAN)
-    assert calls[0] == 3572
-    # without polishing: once per ball point (1 + 2n + 64) and once per
-    # half- and quarter-radius axis point (4n)
-    calls[0] = 0
+    # one point per call made 3572 of each before the polish stacked its
+    # point candidates
+    assert (work["rows"], work["calls"]) == (4843, 968)
+    # without polishing: one point per call, once per ball point (1 + 2n + 64)
+    # and once per half- and quarter-radius axis point (4n)
+    work.update(calls=0, rows=0)
     gc.sample_estimates(p, SD, EUC, p.R, dataclasses.replace(SHIPPED_PLAN, refine=False))
-    sampling = calls[0]
-    assert sampling == (1 + 2 * n + 64) + 4 * n
-    # each of the two polishes builds one operator, then one per point
-    # candidate: at most 2n candidates in each of 40 sweeps
-    calls[0] = 0
+    sampling = work["calls"]
+    assert sampling == work["rows"] == (1 + 2 * n + 64) + 4 * n
+    # each of the two polishes evaluates one operator, then stacks of at
+    # most 8 point candidates, in fewer calls than the 2n candidates of
+    # each of 40 sweeps one at a time
+    work.update(calls=0, rows=0)
     gc.sample_estimates(p, SD, EUC, p.R, SHIPPED_PLAN)
-    assert calls[0] - sampling <= 2 * (1 + 40 * 2 * n)
+    calls, rows = work["calls"] - sampling, work["rows"] - sampling
+    assert calls < 2 * (1 + 40 * 2 * n)
+    assert rows <= 2 + 8 * (calls - 2)
 
 
 def test_estimate_theta_rejects_radius_beyond_ball():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import gradcert as gc
+from gradcert import estimator
 from gradcert.errors import ArgumentError
 
 EUC = gc.euclidean()
@@ -143,6 +144,61 @@ def test_chandrasekhar_jacobian_structure():
     assert np.all(np.diag(J) > 0.5)
     off = J - np.diag(np.diag(J))
     assert np.all(off <= 0.0)
+
+
+def _ball_stack(p, k, seed):
+    """k seeded points of p's ball, as a (k, dim) stack."""
+    rng = np.random.default_rng(seed)
+    D = rng.standard_normal((k, p.dim))
+    D /= np.linalg.norm(D, axis=1)[:, None]
+    return p.x0 + p.R * rng.random((k, 1)) ** (1.0 / p.dim) * D
+
+
+STACK_PROBLEMS = ([(p.name, p) for p in gc.registry()]
+                  + [(f"chandrasekhar-n{n}", gc.chandrasekhar(0.5, n)) for n in (2, 6, 20, 80)])
+
+
+@pytest.mark.parametrize("p", [p for _, p in STACK_PROBLEMS],
+                         ids=[name for name, _ in STACK_PROBLEMS])
+def test_stacked_jacobian_equals_one_point_jacobians(p):
+    # the estimator's polish takes the Jacobians of its point candidates in
+    # stacks; each one must be the one-point Jacobian, sign bits included
+    for k, seed in ((1, 0), (8, 1), (13, 2)):
+        X = _ball_stack(p, k, seed)
+        J = p.jacobian(X)
+        assert J.shape == (k, p.dim, p.dim)
+        for i in range(k):
+            assert J[i].tobytes() == np.asarray(p.jacobian(X[i]), dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 6, 20, 80])
+def test_chandrasekhar_jacobian_is_identity_minus_scaled_kernel(n):
+    # J = I - diag(s^2) K with s = 1 / (1 - K H), bit for bit, from the
+    # formula written out; -(s_i^2 K_ij) + 1 on the diagonal rounds as
+    # 1 - s_i^2 K_ij, and off it K_ij > 0 keeps the sign of 0 - s_i^2 K_ij
+    c = 0.5
+    p = gc.chandrasekhar(c, n)
+    mu = (np.arange(n) + 0.5) / n
+    K = 0.5 * c * (1.0 / n) * mu[:, None] / (mu[:, None] + mu[None, :])
+    for x in _ball_stack(p, 8, n):
+        s = 1.0 / (1.0 - K @ x)
+        assert p.jacobian(x).tobytes() == (np.eye(n) - (s * s)[:, None] * K).tobytes()
+
+
+def test_a_jacobian_that_ignores_the_stack_is_refused():
+    p = gc.linear_spd(1, 4, 3)
+    A = p.jacobian(p.x0)
+    flat = dataclasses.replace(p, jacobian=lambda x: A.copy())
+    X = _ball_stack(p, 4, 3)
+    with pytest.raises(ArgumentError, match=r"\(4, 3, 3\)"):
+        estimator._jacobian(flat, X)
+    # the one-point call still works; the polish's stacked call refuses it
+    assert estimator._jacobian(flat, X[0]).tobytes() == A.tobytes()
+    plan = gc.SamplePlan(seed=0, n_points=4, n_dirs=8)
+    method = gc.MethodSpec(gc.MIN_RESIDUAL)
+    gc.sample_estimates(flat, method, EUC, 1.0, dataclasses.replace(plan, refine=False))
+    with pytest.raises(ArgumentError, match="jacobian of problem 'linear_spd'"):
+        gc.sample_estimates(flat, method, EUC, 1.0, plan)
 
 
 def test_known_solutions_satisfy_equation():
