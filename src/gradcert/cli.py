@@ -141,10 +141,14 @@ def _build(rc: dict) -> tuple[problems.Problem, spaces.SpaceGeometry, methods.Me
 def _build_plan(rc: dict) -> estimator.SamplePlan:
     plan = {**_DEFAULTS["bounds"]["plan"], "seed": rc["run"]["seed"],
             **(rc["bounds"]["plan"] or {})}
+    # taken as given: int() and bool() would run "false" as true and 2.9 as 2
+    for key, kind in (("seed", int), ("n_points", int), ("n_dirs", int), ("refine", bool)):
+        if type(plan[key]) is not kind:
+            raise ConfigError(f"config error at bounds.plan: {key} must be "
+                              f"{'a boolean' if kind is bool else 'an integer'}, "
+                              f"got {plan[key]!r}")
     with _at("bounds.plan"):
-        return estimator.SamplePlan(
-            seed=int(plan["seed"]), n_points=int(plan["n_points"]),
-            n_dirs=int(plan["n_dirs"]), refine=bool(plan["refine"]))
+        return estimator.SamplePlan(**plan)
 
 
 def _explicit_bounds(rc: dict, problem, method) -> majorant.BoundData:

@@ -14,9 +14,14 @@ backstop that catches an understated bound at run time.
 ``sample_estimates`` computes all of them in one pass.  It draws the ball
 points and directions once, evaluates ``f`` and the Jacobian once per ball
 point and once per extra axis point of the Lipschitz pairs, and then
-polishes the worst acuteness ratio and the largest step-size ratio.  The
-``Estimates`` record it returns holds the five values as Python floats;
-the ``estimate_*`` functions read that record.
+polishes the worst acuteness ratio and the largest step-size ratio.  Both
+ratios are scored by the polish's objectives, ``_AcuteRatio`` and
+``_StepRatio``: at each ball point the sweep images the direction set by
+one 2-D product and scores both ratios from it, and the residual row by a
+1-row product, whose one value is both the trajectory ratio and an
+acuteness candidate.  A non-finite operator or image at a ball point
+raises ArgumentError.  The ``Estimates`` record it returns holds the five
+values as Python floats; the ``estimate_*`` functions read that record.
 
 The polish is a coordinate descent.  Its sweeps score candidates in
 blocks and accept the first improving one: a direction sweep scores every
@@ -148,34 +153,20 @@ def _operator(method: MethodSpec, J: np.ndarray) -> np.ndarray:
     return J @ np.swapaxes(J, -1, -2) if method.uses_adjoint else J
 
 
-def _acuteness(space, H: np.ndarray, W: np.ndarray, nh: np.ndarray, duality) -> np.ndarray:
-    """[h, w] / (||h|| ||w||) for each row h of H and its image row w in W.
-
-    ``nh`` is ``norm_rows(space, H)`` and ``duality`` is
-    ``duality_rows(space, H)``, which the polish's point sweep takes once.
-    """
-    den = nh * norm_rows(space, W)
-    num = semiscalar_rows(space, H, W, duality)
-    # a vanishing image direction means the acuteness property fails outright
-    return np.divide(num, den, out=np.zeros(len(den)), where=den > 0.0)
-
-
-def _acute_ratios(space, H: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Acuteness ratio of each row of H, imaged by one 2-D product ``H @ B.T``."""
-    return _acuteness(space, H, H @ B.T, norm_rows(space, H), None)
-
-
-# The polish scores its candidates in blocks of rows, and each row must
-# round as it would on its own.  A 2-D ``H @ B.T`` (gemm) can round a row
-# differently from a 1-row product (gemv), so the polish images its rows by
-# stacked 1-row products, which make that gemv for every row: ``h B^T`` as
-# ``(H[:, None, :] @ B^T)[:, 0, :]`` and ``B h`` as ``(B @ H[:, :, None])[:, :, 0]``.
-# B is one operator for every row, or a stack of one operator per row; the
-# same products broadcast over either.  ``norm_rows``, ``semiscalar_rows``
-# and ``norm_each`` give a row the same value in a block of any size.
+# Both objectives score rows of directions H against images W that are
+# already computed.  The sampling sweep images its direction set by one 2-D
+# product ``H0 @ B.T`` per point.  The polish scores its candidates in blocks
+# of rows, and each row must round as it would on its own; a 2-D product
+# (gemm) can round a row differently from a 1-row product (gemv), so the
+# polish's ``__call__`` images its rows by stacked 1-row products, which make
+# that gemv for every row: ``h B^T`` as ``(H[:, None, :] @ B^T)[:, 0, :]`` and
+# ``B h`` as ``(B @ H[:, :, None])[:, :, 0]``.  B is one operator for every
+# row, or a stack of one operator per row; the same products broadcast over
+# either.  ``norm_rows``, ``semiscalar_rows`` and ``norm_each`` give a row the
+# same value in a block of any size.
 
 class _AcuteRatio:
-    """The acuteness ratio as a polish objective, to be minimized."""
+    """The acuteness ratio [h, w] / (||h|| ||w||), to be minimized."""
 
     minimize = True
 
@@ -186,16 +177,16 @@ class _AcuteRatio:
         """The parts of the ratio that depend on the directions alone."""
         return norm_rows(self.space, H), duality_rows(self.space, H)
 
+    def score(self, H, W, terms):
+        """The ratio of each row h of H and its image row w in W."""
+        nh, duality = terms
+        den = nh * norm_rows(self.space, W)
+        num = semiscalar_rows(self.space, H, W, duality)
+        # a vanishing image direction means the acuteness property fails outright
+        return np.divide(num, den, out=np.zeros(len(den)), where=den > 0.0)
+
     def __call__(self, B, H, terms):
-        W = (H[:, None, :] @ np.swapaxes(B, -1, -2))[:, 0, :]
-        return _acuteness(self.space, H, W, *terms)
-
-
-def _acute_ratio(space, h: np.ndarray, B: np.ndarray) -> float:
-    """``_acute_ratios`` for the single direction h, by a 1-row product."""
-    objective = _AcuteRatio(space)
-    H = h[None, :]
-    return float(objective(B, H, objective.terms(H))[0])
+        return self.score(H, (H[:, None, :] @ np.swapaxes(B, -1, -2))[:, 0, :], terms)
 
 
 class _StepRatio:
@@ -222,9 +213,9 @@ class _StepRatio:
         # squares taken on Python floats, whose power can round unlike numpy's
         return duality_rows(self.space, H), [v ** 2 for v in norm_each(self.space, H)]
 
-    def __call__(self, B, H, terms):
+    def score(self, H, W, terms):
+        """The ratio of each row h of H and its image row Bh in W, as a list."""
         duality, h_sq = terms
-        W = (B @ H[:, :, None])[:, :, 0]
         num = semiscalar_rows(self.space, H, W, duality).tolist()
         if self.minimal_quadratic:
             sigma = self.sigma
@@ -236,6 +227,9 @@ class _StepRatio:
             return values
         th = self.th
         return [s / (th * a) if a > 0.0 else math.inf for s, a in zip(h_sq, num)]
+
+    def __call__(self, B, H, terms):
+        return self.score(H, (B @ H[:, :, None])[:, :, 0], terms)
 
 
 def _project_rows(space, center, r, X):
@@ -439,9 +433,8 @@ def sample_estimates(problem, method: MethodSpec, space: SpaceGeometry,
     pts = _ball_points(center, r, plan.n_points, rng, space)
     H0 = _direction_set(len(center), plan.n_dirs, rng, space)
     adjoint = method.uses_adjoint
-    th = method.effective_vartheta
-    minimal_quadratic = method.mu_family == "min"
-    h0_sq = None if minimal_quadratic else norm_rows(space, H0) ** 2
+    acute, step = _AcuteRatio(space), _StepRatio(space, method)
+    acute_terms, step_terms = acute.terms(H0), step.terms(H0)
 
     nu, nu_xh = math.inf, (pts[0], H0[0])
     lam, lam_xh = -math.inf, (pts[0], H0[0])
@@ -450,41 +443,36 @@ def sample_estimates(problem, method: MethodSpec, space: SpaceGeometry,
     lip = _LipschitzPairs(problem, space, center, r)
     for k, x in enumerate(pts):
         J = _jacobian(problem, x)
+        B = _operator(method, J)
+        W = H0 @ B.T
+        # a non-finite entry would drop the point from every comparison below
+        if not (np.isfinite(B).all() and np.isfinite(W).all()):
+            raise ArgumentError(
+                f"problem {problem.name!r}: the operator at sampled ball point {k} "
+                "or its image of the sampled directions has non-finite entries")
         lip.visit(k, x, J)
         if adjoint:
             tn = _matrix_norm(space, J.T)
             theta = tn if theta is None else max(theta, tn)
-        B = _operator(method, J)
 
-        fx = np.asarray(problem.f(x), dtype=float)
-        residual = bool(np.all(np.isfinite(fx))) and norm(space, fx) > 0.0
-        H = np.vstack([H0, fx]) if residual else H0
-        ratios = _acute_ratios(space, H, B)
+        ratios = acute.score(H0, W, acute_terms)
         i = int(np.argmin(ratios))
         if ratios[i] < nu:
             nu = float(ratios[i])
-            nu_xh = (x, H[i] / norm(space, H[i]))
-        if residual:
-            ratio = _acute_ratio(space, fx, B)
-            if ratio < traj:
-                traj = ratio
+            nu_xh = (x, H0[i] / norm(space, H0[i]))
+        fx = np.asarray(problem.f(x), dtype=float)
+        if np.isfinite(fx).all() and norm(space, fx) > 0.0:
+            F = fx[None, :]
+            ratio = float(acute(B, F, acute.terms(F))[0])
+            traj = min(traj, ratio)
+            if ratio < nu:
+                nu, nu_xh = ratio, (x, fx / norm(space, fx))
 
         if lam < math.inf:
-            W = H0 @ B.T
-            num = semiscalar_rows(space, H0, W)
-            if minimal_quadratic:
-                den = space.sigma * norm_rows(space, W) ** 2
-                unbounded = den == 0.0
-            else:
-                unbounded = num <= 0.0
-            if np.any(unbounded):
-                lam = math.inf
-            else:
-                ratios = num / den if minimal_quadratic else h0_sq / (th * num)
-                i = int(np.argmax(ratios))
-                if ratios[i] > lam:
-                    lam = float(ratios[i])
-                    lam_xh = (x, H0[i])
+            values = step.score(H0, W, step_terms)
+            best = max(values)
+            if best > lam:
+                lam, lam_xh = best, (x, H0[values.index(best)])
 
     if plan.refine:
         def operator(x):

@@ -258,6 +258,18 @@ def test_bad_config_value_type_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error at bounds.plan: ")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("refine", "false"), ("refine", 0), ("n_points", 2.9), ("n_dirs", True),
+    ("seed", 3.0), ("seed", False)])
+def test_plan_value_of_another_type_is_config_error(tmp_path, capsys, key, value):
+    # coerced, "false" would polish while the report echoes it, 2.9 would
+    # run as 2 points and true as 1 direction
+    plan = dict({"seed": 3, "n_points": 4, "n_dirs": 16, "refine": False}, **{key: value})
+    cfg = solve_config(tmp_path, bounds={"mode": "estimated", "plan": plan})
+    assert cli.main(["estimate", "--config", write_config(tmp_path, **cfg)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error at bounds.plan: {key} ")
+
+
 def test_certified_bounds_missing_rejected(tmp_path):
     cfg = solve_config(tmp_path, problem={"name": "chandrasekhar",
                                           "params": {"c": 0.5, "n": 10}})
