@@ -107,6 +107,10 @@ def _resolved(cfg: dict, seed_override: int | None) -> dict:
         out["run"]["seed"] = int(seed_override)
         if out["bounds"]["plan"] is not None:
             out["bounds"]["plan"] = dict(out["bounds"]["plan"], seed=int(seed_override))
+    for key in ("seed", "samples", "max_iter"):  # int() would run 1.9 as 1 and echo 1.9
+        if type(out["run"][key]) is not int:
+            raise ConfigError(f"config error at run: {key} must be an integer, "
+                              f"got {out['run'][key]!r}")
     return out
 
 
@@ -278,7 +282,7 @@ def cmd_solve(rc: dict, fixed_clock: bool) -> int:
     problem, space, method = _build(rc)
     bounds, bounds_note = _resolve_bounds(rc, problem, method, space)
     stop = methods.StopRule(res_tol=float(rc["run"]["res_tol"]),
-                            max_iter=int(rc["run"]["max_iter"]))
+                            max_iter=rc["run"]["max_iter"])
 
     cert = None if bounds is None else _certify(problem, space, bounds)
     attach = cert is not None and cert.feasible
@@ -327,7 +331,7 @@ def cmd_certify(rc: dict, fixed_clock: bool) -> int:
     cert = _certify(problem, space, bounds)
     apriori = None
     if cert.feasible:
-        n_table = min(int(rc["run"]["max_iter"]), 25)
+        n_table = min(rc["run"]["max_iter"], 25)
         apriori = [{"n": n, "bound": bound} for n, bound in
                    enumerate(majorant.apriori_bounds(cert, bounds, n_table))]
     status = EXIT_OK if cert.feasible else EXIT_NOT_CONVERGED
@@ -386,7 +390,7 @@ def cmd_verify_space(rc: dict, fixed_clock: bool) -> int:
     space = _build_space(rc)
     with _at("run"):
         report = spaces.verify_space_axioms(
-            space, n_samples=int(rc["run"]["samples"]), seed=int(rc["run"]["seed"]))
+            space, n_samples=rc["run"]["samples"], seed=rc["run"]["seed"])
     status = EXIT_OK if report.passed else EXIT_VIOLATIONS
     _write_report({
         "command": "verify-space",

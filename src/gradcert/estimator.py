@@ -44,8 +44,8 @@ from .errors import ArgumentError, AssumptionError
 from .majorant import BoundData, LipschitzModulus
 from .methods import MethodSpec
 # bench/tracer.py wraps norm, norm_rows and semiscalar_rows as globals of this module
-from .spaces import (EUCLIDEAN, SpaceGeometry, duality_rows, norm, norm_each, norm_rows,
-                     semiscalar_rows)
+from .spaces import (EUCLIDEAN, SpaceGeometry, duality_rows, norm, norm_duality_rows,
+                     norm_each, norm_rows, semiscalar_rows)
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,7 @@ class _AcuteRatio:
 
     def terms(self, H):
         """The parts of the ratio that depend on the directions alone."""
-        return norm_rows(self.space, H), duality_rows(self.space, H)
+        return norm_duality_rows(self.space, H)
 
     def score(self, H, W, terms):
         """The ratio of each row h of H and its image row w in W."""
@@ -219,7 +219,10 @@ class _StepRatio:
         num = semiscalar_rows(self.space, H, W, duality).tolist()
         if self.minimal_quadratic:
             sigma = self.sigma
-            den = [sigma * v ** 2 for v in norm_each(self.space, W)]
+            try:  # squared on Python floats, as in terms
+                den = [sigma * v ** 2 for v in norm_each(self.space, W)]
+            except OverflowError:  # a norm above about 1.34e154
+                raise ArgumentError("an image norm overflowed when squared") from None
             values = [a / d if d > 0.0 else math.inf for a, d in zip(num, den)]
             for i, d in enumerate(den):
                 if not math.isfinite(d) and not np.isfinite(W[i]).all():

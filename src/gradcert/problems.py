@@ -95,8 +95,11 @@ def _linear_ball_radius(m: float, M: float, a: float, dist_to_solution: float) -
     # feasible radius: R >= 2 * lam*theta*a/(1-mu) over those families
     nu_id, nu_adj = _antieigenvalues(m, M)
     reqs = [dist_to_solution, 1.0]
-    reqs.append((1.0 / m) * a / (1.0 - mu_min_family(nu_id, 1.0)))
-    reqs.append((M / m**2) * a / (1.0 - mu_min_family(nu_adj, 1.0)))
+    try:
+        reqs.append((1.0 / m) * a / (1.0 - mu_min_family(nu_id, 1.0)))
+        reqs.append((M / m**2) * a / (1.0 - mu_min_family(nu_adj, 1.0)))
+    except ZeroDivisionError:
+        raise ArgumentError(f"spread M/m = {M / m:g} too wide: 1 - mu rounds to 0") from None
     for nu, lam_theta in ((nu_id, 1.0 / m), (nu_adj, M / m**2)):
         try:
             mu = mu_altman_family(nu, 1.0, 1.0)

@@ -149,15 +149,33 @@ def duality_map(space: SpaceGeometry, x) -> np.ndarray:
     return c * w
 
 
-# Row-wise variants used by the sampling code; rows of X/Y are vectors.
+# Row-wise variants used by the sampling code; rows of X/Y are vectors.  Short
+# rows reduce over axis 0 of the contiguous transpose: numpy's per-row setup on
+# axis 1 costs more than their arithmetic.  A max is exact either way; a sum only
+# while numpy adds a row in order, below 8 entries (from 8 on it sums pairwise).
+
+def _row_max(A: np.ndarray) -> np.ndarray:
+    return np.max(np.ascontiguousarray(A.T), axis=0)
+
+
+def _row_sum(A: np.ndarray) -> np.ndarray:
+    return (np.add.reduce(np.ascontiguousarray(A.T), axis=0) if A.shape[1] < 8
+            else np.add.reduce(A, axis=1))
+
+
+def _scaled_rows(p: float, X: np.ndarray):
+    """Per row: the largest magnitude m, u = x/m (x/1 when m = 0) and sum |u_i|^p."""
+    m = _row_max(np.abs(X))
+    U = X / np.where(m > 0.0, m, 1.0)[:, None]
+    return m, U, _row_sum(np.abs(U) ** p)
+
 
 def norm_rows(space: SpaceGeometry, X: np.ndarray) -> np.ndarray:
     if space.kind == EUCLIDEAN:
         # the formula of np.linalg.norm(X, axis=1), without its dispatch
-        return np.sqrt(np.add.reduce(X * X, axis=1))
-    m = np.max(np.abs(X), axis=1)
-    safe = np.where(m > 0.0, m, 1.0)
-    return m * np.sum(np.abs(X / safe[:, None]) ** space.p, axis=1) ** (1.0 / space.p)
+        return np.sqrt(_row_sum(X * X))
+    m, _, s = _scaled_rows(space.p, X)
+    return m * s ** (1.0 / space.p)
 
 
 def norm_each(space: SpaceGeometry, X: np.ndarray) -> list[float]:
@@ -173,27 +191,29 @@ def norm_each(space: SpaceGeometry, X: np.ndarray) -> list[float]:
     if space.kind == EUCLIDEAN:
         return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0]).tolist()
     p = space.p
-    m = np.max(np.abs(X), axis=1)
-    s = np.sum(np.abs(X / np.where(m > 0.0, m, 1.0)[:, None]) ** p, axis=1)
+    m, _, s = _scaled_rows(p, X)
     return [mi * si ** (1.0 / p) if 0.0 < mi < math.inf else mi
             for mi, si in zip(m.tolist(), s.tolist())]
+
+
+def norm_duality_rows(space: SpaceGeometry, X: np.ndarray):
+    """The norms of the rows of X and their ``duality_rows``, from one pass over X."""
+    if space.kind == EUCLIDEAN:
+        return norm_rows(space, X), None
+    m, U, s = _scaled_rows(space.p, X)
+    p, nu_ = space.p, s ** (1.0 / space.p)
+    nz = slice(None) if (m > 0.0).all() else m > 0.0  # a full slice takes views, not copies
+    return m * nu_, (nz, m[nz] * nu_[nz] ** (2.0 - p), np.abs(U[nz]) ** (p - 1.0) * np.sign(U[nz]))
 
 
 def duality_rows(space: SpaceGeometry, X: np.ndarray):
     """The duality map of the rows of X in the factored form ``semiscalar_rows`` pairs.
 
-    Returns (nz, c, W): the mask of rows with a nonzero entry, and for those
-    rows J x = c * w, rescaled as in ``_duality_parts``.  None in Euclidean
-    space, where J is the identity.  A caller that pairs the same X against
-    several Y computes this once and passes it to each ``semiscalar_rows``.
+    Returns (nz, c, W): the rows with a nonzero entry (a mask, or a full slice
+    if all have one) and their J x = c * w, rescaled as in ``_duality_parts``;
+    None in Euclidean space.  Computed once, it serves each Y paired with X.
     """
-    if space.kind == EUCLIDEAN:
-        return None
-    m = np.max(np.abs(X), axis=1)
-    nz = m > 0.0
-    U = X[nz] / m[nz, None]
-    nu_ = np.sum(np.abs(U) ** space.p, axis=1) ** (1.0 / space.p)
-    return nz, m[nz] * nu_ ** (2.0 - space.p), np.abs(U) ** (space.p - 1.0) * np.sign(U)
+    return None if space.kind == EUCLIDEAN else norm_duality_rows(space, X)[1]
 
 
 def semiscalar_rows(space: SpaceGeometry, X: np.ndarray, Y: np.ndarray,
@@ -253,9 +273,9 @@ _AXIOM_NAMES = ("pairing_norm", "first_slot_homogeneity", "second_slot_linearity
 
 def _check_block(space, sig, tol, X, Y, Y2, lam, a1, a2, worst, nviol) -> None:
     """Fold one block of sampled rows into the running worst slacks and counts."""
-    nX = norm_rows(space, X)
+    nX, dX = norm_duality_rows(space, X)  # X is the first slot of four of the pairings
     nY = norm_rows(space, Y)
-    dX = duality_rows(space, X)  # X is the first slot of four of the pairings
+    nY2 = np.concatenate([norm_rows(space, Y2[:1]), nY[:-1]])  # Y2[1:] is Y[:-1]
     sxx = semiscalar_rows(space, X, X, dX)
     sxy = semiscalar_rows(space, X, Y, dX)
 
@@ -276,7 +296,7 @@ def _check_block(space, sig, tol, X, Y, Y2, lam, a1, a2, worst, nviol) -> None:
     comb = semiscalar_rows(space, X, a1[:, None] * Y + a2[:, None] * Y2, dX)
     parts = a1 * sxy + a2 * semiscalar_rows(space, X, Y2, dX)
     _update("second_slot_linearity", -np.abs(comb - parts),
-            np.abs(comb) + np.abs(parts) + nX * (nY + norm_rows(space, Y2)), (X, Y, Y2))
+            np.abs(comb) + np.abs(parts) + nX * (nY + nY2), (X, Y, Y2))
     # (d) [x, y] <= ||x|| ||y||
     _update("cauchy_schwarz", nX * nY - sxy, nX * nY, (X, Y))
     # (iv) ||x+y||^2 <= ||x||^2 + 2[x,y] + sigma ||y||^2

@@ -270,6 +270,19 @@ def test_plan_value_of_another_type_is_config_error(tmp_path, capsys, key, value
     assert capsys.readouterr().err.startswith(f"config error at bounds.plan: {key} ")
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("verify-space", "seed", 1.9), ("verify-space", "seed", True),
+    ("verify-space", "samples", 200.7), ("solve", "max_iter", 300.0)])
+def test_run_value_of_another_type_is_config_error(tmp_path, capsys, command, key, value):
+    # coerced, seed 1.9 and 200.7 samples would run as seed 1 and 200 samples
+    # while the report echoes 1.9 and 200.7
+    cfg = solve_config(tmp_path)
+    cfg["run"][key] = value
+    assert cli.main([command, "--config", write_config(tmp_path, **cfg)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"config error at run: {key} must be an integer, got {value!r}")
+
+
 def test_certified_bounds_missing_rejected(tmp_path):
     cfg = solve_config(tmp_path, problem={"name": "chandrasekhar",
                                           "params": {"c": 0.5, "n": 10}})

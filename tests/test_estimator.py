@@ -312,6 +312,25 @@ def test_non_finite_operator_at_a_sampled_point_is_an_error(value, method):
         gc.sample_estimates(_poisoned(p, point, value), method, EUC, p.R, plan)
 
 
+@pytest.mark.parametrize("polished", [False, True], ids=["unpolished", "polished"])
+def test_overflowing_image_norm_is_an_error(polished):
+    # image norms near 1e160 overflow when squared as Python floats
+    base = gc.linear_spd(1, 4, 2)
+    p = dataclasses.replace(base, f=lambda x, _f=base.f: _f(x) * 1e160,
+                            jacobian=lambda x, _j=base.jacobian: _j(x) * 1e160)
+    method, space = gc.MethodSpec(gc.BANACH_MIN_RESIDUAL), gc.sequence_p(4)
+    with pytest.raises(ArgumentError, match="image norm overflowed"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        if polished:
+            x0 = np.asarray(p.x0, dtype=float)
+            estimator._polish(estimator._StepRatio(space, method),
+                              lambda x: estimator._operator(method, estimator._jacobian(p, x)),
+                              space, x0, p.R, x0, np.array([0.6, 0.8]))
+        else:
+            gc.sample_estimates(p, method, space, p.R, gc.SamplePlan(seed=1, n_points=8,
+                                                                      n_dirs=16, refine=False))
+
+
 @settings(max_examples=200, deadline=None)
 @given(shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
        scale=st.floats(-6, 6), seed=st.integers(0, 2**32 - 1),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +62,15 @@ def test_linear_spd_certified_constants():
     adj = p.certified_bounds.bound_data(gc.MethodSpec(gc.MIN_CO_ERROR), 1.0)
     assert adj.nu_at(0.1) == pytest.approx(8.0 / 17.0, rel=1e-15)
     assert adj.theta_at(0.1) == 4.0
+
+
+@pytest.mark.parametrize("M", [5e8, 1e160])
+def test_linear_spd_too_wide_a_spread_is_an_argument_error(M):
+    # 1 - mu of the minimal-quadratic family rounds to 0, so no ball radius
+    # can be sized for it
+    with pytest.raises(ArgumentError, match=re.escape(f"spread M/m = {M:g} too wide")), \
+            np.errstate(over="ignore"):
+        gc.linear_spd(1.0, M, 2)
 
 
 def test_certified_bounds_refuse_non_euclidean_sigma():
