@@ -17,19 +17,18 @@ point and once per extra axis point of the Lipschitz pairs, and then
 polishes the worst acuteness ratio and the largest step-size ratio.  Both
 ratios are scored by the polish's objectives, ``_AcuteRatio`` and
 ``_StepRatio``: at each ball point the sweep images the direction set by
-one 2-D product and scores both ratios from it, and the residual row by a
-1-row product, whose one value is both the trajectory ratio and an
-acuteness candidate.  A non-finite operator or image at a ball point
-raises ArgumentError.  The ``Estimates`` record it returns holds the five
-values as Python floats; the ``estimate_*`` functions read that record.
+one 2-D product and scores both ratios from it, and images the residual
+row, whose one value is both the trajectory ratio and an acuteness
+candidate.  A non-finite operator or image at a ball point or a polish
+candidate raises ArgumentError.  The ``Estimates`` record it returns holds
+the five values as Python floats; the ``estimate_*`` functions read that
+record.
 
-The polish is a coordinate descent.  Its sweeps score candidates in
-blocks and accept the first improving one: a direction sweep scores every
-remaining candidate in one call, and a point sweep the next 8, whose
-Jacobians come from one stacked ``problem.jacobian`` call.  The candidates
-after an accepted one are rebuilt from the new direction or point and
-scored again, so the descent takes the steps, and returns the values, of a
-sweep that scores one candidate at a time.
+The polish is a coordinate descent that accepts the first improving
+candidate in sweep order.  A direction sweep scores every remaining
+candidate in one block, and a point sweep the next 8, whose Jacobians come
+from one stacked ``problem.jacobian`` call.  The candidates after an
+accepted one are rebuilt from the new direction or point and scored again.
 """
 
 from __future__ import annotations
@@ -44,8 +43,8 @@ from .errors import ArgumentError, AssumptionError
 from .majorant import BoundData, LipschitzModulus
 from .methods import MethodSpec
 # bench/tracer.py wraps norm, norm_rows and semiscalar_rows as globals of this module
-from .spaces import (EUCLIDEAN, SpaceGeometry, duality_rows, norm, norm_duality_rows,
-                     norm_each, norm_rows, semiscalar_rows)
+from .spaces import (EUCLIDEAN, SpaceGeometry, norm, norm_duality_rows, norm_rows,
+                     semiscalar_rows)
 
 
 @dataclass(frozen=True)
@@ -153,17 +152,15 @@ def _operator(method: MethodSpec, J: np.ndarray) -> np.ndarray:
     return J @ np.swapaxes(J, -1, -2) if method.uses_adjoint else J
 
 
-# Both objectives score rows of directions H against images W that are
-# already computed.  The sampling sweep images its direction set by one 2-D
-# product ``H0 @ B.T`` per point.  The polish scores its candidates in blocks
-# of rows, and each row must round as it would on its own; a 2-D product
-# (gemm) can round a row differently from a 1-row product (gemv), so the
-# polish's ``__call__`` images its rows by stacked 1-row products, which make
-# that gemv for every row: ``h B^T`` as ``(H[:, None, :] @ B^T)[:, 0, :]`` and
-# ``B h`` as ``(B @ H[:, :, None])[:, :, 0]``.  B is one operator for every
-# row, or a stack of one operator per row; the same products broadcast over
-# either.  ``norm_rows``, ``semiscalar_rows`` and ``norm_each`` give a row the
-# same value in a block of any size.
+def _images(B, H):
+    """The image B h of each row h of H, as rows; B is one operator, or a stack of one per row."""
+    return H @ B.T if B.ndim == 2 else (B @ H[:, :, None])[:, :, 0]
+
+
+# Both objectives score rows of directions H against their images W from
+# ``_images``; ``terms`` is ``norm_duality_rows(space, H)``, the parts of a
+# ratio that depend on the directions alone, so one pass serves every
+# operator that H is scored against.
 
 class _AcuteRatio:
     """The acuteness ratio [h, w] / (||h|| ||w||), to be minimized."""
@@ -173,10 +170,6 @@ class _AcuteRatio:
     def __init__(self, space):
         self.space = space
 
-    def terms(self, H):
-        """The parts of the ratio that depend on the directions alone."""
-        return norm_duality_rows(self.space, H)
-
     def score(self, H, W, terms):
         """The ratio of each row h of H and its image row w in W."""
         nh, duality = terms
@@ -185,18 +178,13 @@ class _AcuteRatio:
         # a vanishing image direction means the acuteness property fails outright
         return np.divide(num, den, out=np.zeros(len(den)), where=den > 0.0)
 
-    def __call__(self, B, H, terms):
-        return self.score(H, (H[:, None, :] @ np.swapaxes(B, -1, -2))[:, 0, :], terms)
-
 
 class _StepRatio:
     """The step-size ratio of the method's step family, to be maximized.
 
     Minimal-quadratic families take [h, Bh] / (sigma ||Bh||^2), relaxed
     families ||h||^2 / (vartheta [h, Bh]); a ratio without a positive
-    denominator is unbounded.  A minimal-quadratic row whose image has a
-    non-finite entry scores None: the norm of one such image raises, so the
-    polish raises when it reaches that row.
+    denominator is unbounded.
     """
 
     minimize = False
@@ -206,98 +194,70 @@ class _StepRatio:
         self.minimal_quadratic = method.mu_family == "min"
         self.th = method.effective_vartheta
 
-    def terms(self, H):
-        """The parts of the ratio that depend on the directions alone."""
-        if self.minimal_quadratic:
-            return duality_rows(self.space, H), None
-        # squares taken on Python floats, whose power can round unlike numpy's
-        return duality_rows(self.space, H), [v ** 2 for v in norm_each(self.space, H)]
-
     def score(self, H, W, terms):
-        """The ratio of each row h of H and its image row Bh in W, as a list."""
-        duality, h_sq = terms
-        num = semiscalar_rows(self.space, H, W, duality).tolist()
+        """The ratio of each row h of H and its image row Bh in W."""
+        nh, duality = terms
+        num = semiscalar_rows(self.space, H, W, duality)
         if self.minimal_quadratic:
-            sigma = self.sigma
-            try:  # squared on Python floats, as in terms
-                den = [sigma * v ** 2 for v in norm_each(self.space, W)]
-            except OverflowError:  # a norm above about 1.34e154
-                raise ArgumentError("an image norm overflowed when squared") from None
-            values = [a / d if d > 0.0 else math.inf for a, d in zip(num, den)]
-            for i, d in enumerate(den):
-                if not math.isfinite(d) and not np.isfinite(W[i]).all():
-                    values[i] = None
-            return values
-        th = self.th
-        return [s / (th * a) if a > 0.0 else math.inf for s, a in zip(h_sq, num)]
-
-    def __call__(self, B, H, terms):
-        return self.score(H, (B @ H[:, :, None])[:, :, 0], terms)
+            with np.errstate(over="ignore"):
+                den = self.sigma * norm_rows(self.space, W) ** 2
+            if np.isinf(den).any():  # W is finite: a norm above about 1.34e154
+                raise ArgumentError("an image norm overflowed when squared")
+        else:
+            num, den = nh ** 2, self.th * num
+        return np.divide(num, den, out=np.full(len(den), math.inf), where=den > 0.0)
 
 
 def _project_rows(space, center, r, X):
     """Each row of X moved radially onto the ball of radius r > 0 about center if outside it.
 
-    Row for row the arithmetic of one point's projection; X is updated in place.
+    X is updated in place.
     """
     D = X - center
-    nd = np.array(norm_each(space, D))
+    nd = norm_rows(space, D)
     out = nd > r
-    if out.any():
-        X[out] = center + D[out] * (r / nd[out])[:, None]
+    X[out] = center + D[out] * (r / nd[out])[:, None]
     return X
 
 
 _POINT_BLOCK = 8  # point candidates per stacked Jacobian call
-_NON_FINITE_IMAGE = "the operator image of a polish candidate has non-finite entries"
-
-
-def _first_better(values, best, better):
-    """Index of the first value that improves on best, or None.
-
-    A None value marks a row that would have raised had it been scored on its
-    own; it raises here only if no earlier row improves, so a row scored
-    after the accepted one never raises.
-    """
-    for i, v in enumerate(values):
-        if v is None:
-            raise ArgumentError(_NON_FINITE_IMAGE)
-        if better(v, best):
-            return i
-    return None
 
 
 def _polish(objective, operator, space, center, r, x, h, iters: int = 40, path=None):
     """Projected coordinate descent over (ball point, unit direction h).
 
-    ``objective(B, H, objective.terms(H))`` scores each row direction of H
-    against ``B = operator(x)``, or against the matching operator of a stack
+    ``objective.score`` scores each row direction of H against its image
+    under ``B = operator(x)``, or under the matching operator of a stack
     ``operator(X)`` of one point per row; ``objective.minimize`` says which
     way is better.  A sweep tries the 2n direction candidates
-    ``h +- step e_j``, accepting each one that improves, and then the point
-    candidates ``x +- step r e_j`` in the same way.  Returns the best value;
-    each accepted (x, h) is appended to ``path`` if one is given.
+    ``h +- step e_j`` and then the point candidates ``x +- step r e_j``,
+    accepting each one that improves.  Returns the best value; each
+    accepted (x, h) is appended to ``path`` if one is given.  A non-finite
+    candidate image raises ArgumentError.
 
-    Both sweeps score a block of candidates in one call and accept the first
-    improving one in sweep order.  The later candidates of that block were
-    built from the old h or x; they are built again from the new one and
-    scored in a new block, so the accepted sequence is the one-at-a-time
-    sweep's.  The direction sweep keeps B, so its block is every remaining
-    candidate; no candidate is zero, as h has norm 1 and a step at most 1/4.
-    The point sweep keeps h, so the direction terms are taken once per
-    sweep, and its block is the next ``_POINT_BLOCK`` candidates, whose
-    operators come from one stacked Jacobian call; the operator of the
-    accepted point becomes the current B.
+    Each sweep scores its candidates in blocks and accepts the first
+    improving one in sweep order; the candidates after it are built again
+    from the new h or x and scored in a new block.  The direction sweep
+    keeps B, so its block is every remaining candidate (none is zero, as h
+    has norm 1 and a step at most 1/4).  The point sweep keeps h, so it
+    takes the direction terms once, and its block is the next
+    ``_POINT_BLOCK`` candidates, whose operators come from one stacked
+    Jacobian call.
     """
     better = lt if objective.minimize else gt
+
+    def score(B, H, terms):
+        W = _images(B, H)
+        if not np.isfinite(W).all():
+            raise ArgumentError("the operator image of a polish candidate has non-finite entries")
+        return objective.score(H, W, terms)
+
     n = len(h)
     rows, cols = np.arange(2 * n), np.arange(2 * n) // 2  # candidate k moves coordinate k // 2
     signs = np.tile([1.0, -1.0], n)
     B = operator(x)
     H = h[None, :]
-    best = objective(B, H, objective.terms(H))[0]
-    if best is None:
-        raise ArgumentError(_NON_FINITE_IMAGE)
+    best = score(B, H, norm_duality_rows(space, H))[0]
     step = 0.25
     for _ in range(iters):
         improved = False
@@ -306,10 +266,10 @@ def _polish(objective, operator, space, center, r, x, h, iters: int = 40, path=N
         while k < 2 * n:
             Hc = np.repeat(h[None, :], 2 * n - k, axis=0)
             Hc[rows[:2 * n - k], cols[k:]] += moves[k:]
-            Hc /= np.array(norm_each(space, Hc))[:, None]
-            v = objective(B, Hc, objective.terms(Hc))
-            i = _first_better(v, best, better)
-            if i is None:
+            Hc /= norm_rows(space, Hc)[:, None]
+            v = score(B, Hc, norm_duality_rows(space, Hc))
+            i = int(np.argmax(better(v, best)))  # the first improving candidate, if any
+            if not better(v[i], best):
                 break
             best, h, improved = v[i], Hc[i], True
             if path is not None:
@@ -318,20 +278,20 @@ def _polish(objective, operator, space, center, r, x, h, iters: int = 40, path=N
         if r > 0.0:
             moves = (step * r) * signs
             H = np.repeat(h[None, :], min(_POINT_BLOCK, 2 * n), axis=0)
-            terms = objective.terms(H)
+            terms = norm_duality_rows(space, H)
             k = 0
             while k < 2 * n:
                 m = min(_POINT_BLOCK, 2 * n - k)
                 if m < len(H):
                     H = H[:m]
-                    terms = objective.terms(H)
+                    terms = norm_duality_rows(space, H)
                 Xc = np.repeat(x[None, :], m, axis=0)
                 Xc[rows[:m], cols[k:k + m]] += moves[k:k + m]
                 Xc = _project_rows(space, center, r, Xc)
                 Bc = operator(Xc)
-                v = objective(Bc, H, terms)
-                i = _first_better(v, best, better)
-                if i is None:
+                v = score(Bc, H, terms)
+                i = int(np.argmax(better(v, best)))
+                if not better(v[i], best):
                     k += m
                     continue
                 best, x, B, improved = v[i], Xc[i], Bc[i], True
@@ -437,7 +397,7 @@ def sample_estimates(problem, method: MethodSpec, space: SpaceGeometry,
     H0 = _direction_set(len(center), plan.n_dirs, rng, space)
     adjoint = method.uses_adjoint
     acute, step = _AcuteRatio(space), _StepRatio(space, method)
-    acute_terms, step_terms = acute.terms(H0), step.terms(H0)
+    terms = norm_duality_rows(space, H0)
 
     nu, nu_xh = math.inf, (pts[0], H0[0])
     lam, lam_xh = -math.inf, (pts[0], H0[0])
@@ -447,9 +407,10 @@ def sample_estimates(problem, method: MethodSpec, space: SpaceGeometry,
     for k, x in enumerate(pts):
         J = _jacobian(problem, x)
         B = _operator(method, J)
-        W = H0 @ B.T
-        # a non-finite entry would drop the point from every comparison below
-        if not (np.isfinite(B).all() and np.isfinite(W).all()):
+        # B is tested before the product, where a non-finite entry would warn, and
+        # its image W after it, as the product can overflow; a non-finite entry
+        # would drop the point from every comparison below
+        if not (np.isfinite(B).all() and np.isfinite(W := _images(B, H0)).all()):
             raise ArgumentError(
                 f"problem {problem.name!r}: the operator at sampled ball point {k} "
                 "or its image of the sampled directions has non-finite entries")
@@ -458,34 +419,32 @@ def sample_estimates(problem, method: MethodSpec, space: SpaceGeometry,
             tn = _matrix_norm(space, J.T)
             theta = tn if theta is None else max(theta, tn)
 
-        ratios = acute.score(H0, W, acute_terms)
+        ratios = acute.score(H0, W, terms)
         i = int(np.argmin(ratios))
         if ratios[i] < nu:
-            nu = float(ratios[i])
-            nu_xh = (x, H0[i] / norm(space, H0[i]))
+            nu, nu_xh = float(ratios[i]), (x, H0[i])
         fx = np.asarray(problem.f(x), dtype=float)
         if np.isfinite(fx).all() and norm(space, fx) > 0.0:
             F = fx[None, :]
-            ratio = float(acute(B, F, acute.terms(F))[0])
+            ratio = float(acute.score(F, _images(B, F), norm_duality_rows(space, F))[0])
             traj = min(traj, ratio)
             if ratio < nu:
                 nu, nu_xh = ratio, (x, fx / norm(space, fx))
 
         if lam < math.inf:
-            values = step.score(H0, W, step_terms)
-            best = max(values)
-            if best > lam:
-                lam, lam_xh = best, (x, H0[values.index(best)])
+            values = step.score(H0, W, terms)
+            i = int(np.argmax(values))
+            if values[i] > lam:
+                lam, lam_xh = float(values[i]), (x, H0[i])
 
     if plan.refine:
         def operator(x):
             return _operator(method, _jacobian(problem, x))
 
         if nu > 0.0:
-            nu = _polish(_AcuteRatio(space), operator, space, center, r, *nu_xh)
+            nu = _polish(acute, operator, space, center, r, *nu_xh)
         if np.isfinite(lam):
-            lam = _polish(_StepRatio(space, method), operator, space, center, r,
-                          *lam_xh)
+            lam = _polish(step, operator, space, center, r, *lam_xh)
     # plain floats: the polish returns numpy scalars, which reports cannot take
     omega = lip.value()
     return Estimates(

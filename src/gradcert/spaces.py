@@ -84,8 +84,7 @@ def norm(space: SpaceGeometry, x) -> float:
     """||x|| in the space norm (2-norm or p-norm).
 
     The entries are checked only when the norm is not finite, which is the
-    only case a non-finite entry can produce; the estimator's polish calls
-    this once per candidate, where the full check would dominate.
+    only case a non-finite entry can produce.
     """
     v = _arr(x)
     if space.kind == EUCLIDEAN:
@@ -176,24 +175,6 @@ def norm_rows(space: SpaceGeometry, X: np.ndarray) -> np.ndarray:
         return np.sqrt(_row_sum(X * X))
     m, _, s = _scaled_rows(space.p, X)
     return m * s ** (1.0 / space.p)
-
-
-def norm_each(space: SpaceGeometry, X: np.ndarray) -> list[float]:
-    """``norm`` of each row of X, bit for bit, in a few array calls.
-
-    ``norm_rows`` rounds differently.  Euclidean rows take stacked 1-row
-    products, which make the ddot of ``w.dot(w)``; l_p rows take the
-    (1/p)-th power on Python floats, as ``_pnorm`` does, because an array
-    power can round differently.  A row with a non-finite entry gets a
-    non-finite norm; unlike ``norm``, nothing raises, so that a caller
-    scoring a block can tell which row would have.
-    """
-    if space.kind == EUCLIDEAN:
-        return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0]).tolist()
-    p = space.p
-    m, _, s = _scaled_rows(p, X)
-    return [mi * si ** (1.0 / p) if 0.0 < mi < math.inf else mi
-            for mi, si in zip(m.tolist(), s.tolist())]
 
 
 def norm_duality_rows(space: SpaceGeometry, X: np.ndarray):
