@@ -13,17 +13,29 @@ Diff the output for two checkouts; an empty diff means every report, trace
 and exit code is byte-identical.  A report that goes to standard output
 (no ``report_path``) is digested from there.
 
+With ``--fields`` each numeric leaf of a JSON report, and each numeric cell
+of a CSV trace, is printed in place of the digest, as
+
+    <config> <command> <json.path> <repr>
+    <config> <command> trace.<column>[<row>] <repr>
+
+(``<json.path>`` such as ``certificate.r`` or ``apriori_bounds[0].bound``),
+so a diff of two checkouts names every field that moved and both values.
+A report that is not JSON keeps its digest line.
+
 With ``--bench-seeds S ...`` the case configs of every benchmark workload
 at each seed S are added, built from this repository's
 ``bench/workloads.py`` and written with the output names ``report.json``
 and ``trace.csv``, so both checkouts run the same files.
 
-Usage: python scripts/fixed_clock_digest.py CHECKOUT [CONFIG ...] [--bench-seeds S ...]
+Usage: python scripts/fixed_clock_digest.py CHECKOUT [CONFIG ...] [--bench-seeds S ...] [--fields]
        (default configs: CHECKOUT/configs/*.json)
 """
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -40,7 +52,46 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest(checkout: Path, configs: list[Path]) -> list[str]:
+def numeric_leaves(value, path: str = ""):
+    """(json.path, repr) of each int or float leaf of a parsed JSON value, in document order."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from numeric_leaves(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from numeric_leaves(item, f"{path}[{i}]")
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path, repr(value)
+
+
+def report_lines(tag: str, data: bytes, fields: bool) -> list[str]:
+    if fields:
+        try:
+            report = json.loads(data)
+        except ValueError:
+            pass
+        else:
+            return [f"{tag} {path} {value}" for path, value in numeric_leaves(report)]
+    return [f"{tag} report {_sha(data)}"]
+
+
+def trace_lines(tag: str, data: bytes | None, fields: bool) -> list[str]:
+    if data is None:
+        return [f"{tag} trace absent"]
+    if not fields:
+        return [f"{tag} trace {_sha(data)}"]
+    lines = []
+    for row, cells in enumerate(csv.DictReader(io.StringIO(data.decode()))):
+        for column, cell in cells.items():
+            try:
+                value = repr(float(cell))
+            except (TypeError, ValueError):
+                continue
+            lines.append(f"{tag} trace.{column}[{row}] {value}")
+    return lines
+
+
+def digest(checkout: Path, configs: list[Path], fields: bool = False) -> list[str]:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     lines = []
@@ -57,11 +108,10 @@ def digest(checkout: Path, configs: list[Path]) -> list[str]:
                     cwd=work, env=env, capture_output=True)
                 tag = f"{cfg.name} {cmd}"
                 report = work / (output.get("report_path") or "-")
-                lines.append(f"{tag} report " + _sha(
-                    report.read_bytes() if report.is_file() else proc.stdout))
+                lines += report_lines(
+                    tag, report.read_bytes() if report.is_file() else proc.stdout, fields)
                 trace = work / (output.get("trace_path") or "-")
-                lines.append(f"{tag} trace "
-                             + (_sha(trace.read_bytes()) if trace.is_file() else "absent"))
+                lines += trace_lines(tag, trace.read_bytes() if trace.is_file() else None, fields)
                 lines.append(f"{tag} exit {proc.returncode}")
     return lines
 
@@ -89,13 +139,15 @@ def main() -> int:
     parser.add_argument("configs", type=Path, nargs="*")
     parser.add_argument("--bench-seeds", type=int, nargs="+", default=[],
                         help="add the benchmark case configs at these seeds")
+    parser.add_argument("--fields", action="store_true",
+                        help="print each numeric report leaf and trace cell, not a digest")
     args = parser.parse_args()
     checkout = args.checkout.resolve()
     configs = [c.resolve() for c in args.configs] or sorted(
         (checkout / "configs").glob("*.json"))
     with tempfile.TemporaryDirectory() as tmp:
         configs += bench_configs(args.bench_seeds, Path(tmp))
-        for line in digest(checkout, configs):
+        for line in digest(checkout, configs, args.fields):
             print(line)
     return 0
 

@@ -11,24 +11,33 @@ and lambda_tilde / the Lipschitz constant are lower estimates of the true
 suprema.  Reports must label them as such; the relaxation verifier is the
 backstop that catches an understated bound at run time.
 
+Ratios read images, norms read matrices.  Every ratio reads only the
+image B h of a direction h, with B = f'(x) f'(x)^T for adjoint families
+and f'(x) otherwise, so one function ``images(X, H)`` built from the
+problem's operator actions (``jvp``, and ``vjp`` for adjoint families)
+images them all, and no Jacobian is formed for a ratio.  The dense
+Jacobian serves only the matrix norms: theta and the Lipschitz pairs.
+A problem without ``jvp`` and ``vjp`` is refused with ArgumentError.
+
 ``sample_estimates`` computes all of them in one pass.  It draws the ball
 points and directions once, evaluates ``f`` and the Jacobian once per ball
 point and once per extra axis point of the Lipschitz pairs, and then
 polishes the worst acuteness ratio and the largest step-size ratio.  Both
 ratios are scored by the polish's objectives, ``_AcuteRatio`` and
 ``_StepRatio``: at each ball point the sweep images the direction set by
-one 2-D product and scores both ratios from it, and images the residual
-row, whose one value is both the trajectory ratio and an acuteness
-candidate.  A non-finite operator or image at a ball point or a polish
-candidate raises ArgumentError.  The ``Estimates`` record it returns holds
-the five values as Python floats; the ``estimate_*`` functions read that
-record.
+one ``images`` call and scores both ratios from it, and images the
+residual row, whose one value is both the trajectory ratio and an
+acuteness candidate.  A non-finite Jacobian or image at a ball point or a
+polish candidate raises ArgumentError, and so does an image whose norm
+overflows.  The ``Estimates`` record it returns holds the five values as
+Python floats; the ``estimate_*`` functions read that record.
 
 The polish is a coordinate descent that accepts the first improving
-candidate in sweep order.  A direction sweep scores every remaining
-candidate in one block, and a point sweep the next 8, whose Jacobians come
-from one stacked ``problem.jacobian`` call.  The candidates after an
-accepted one are rebuilt from the new direction or point and scored again.
+candidate in sweep order.  A direction sweep images every remaining
+candidate at the current point in one block, and a point sweep the next
+``_POINT_BLOCK`` candidate points, each against the current direction.
+The candidates after an accepted one are rebuilt from the new direction
+or point and scored again.
 """
 
 from __future__ import annotations
@@ -135,30 +144,36 @@ def _direction_set(dim: int, n: int, rng, space) -> np.ndarray:
 
 
 def _jacobian(problem, x: np.ndarray) -> np.ndarray:
-    """J(x) at one point x, or the (k, n, n) stack of J at each row of a (k, n) stack x."""
-    J = np.asarray(problem.jacobian(x), dtype=float)
-    if J.shape != x.shape + x.shape[-1:]:
-        raise ArgumentError(
-            f"jacobian of problem {problem.name!r} at points of shape {x.shape} has "
-            f"shape {J.shape}, expected {x.shape + x.shape[-1:]}")
-    return J
+    """The dense J(x) at one point x, for the matrix norms."""
+    return np.asarray(problem.jacobian(x), dtype=float)
 
 
-def _operator(method: MethodSpec, J: np.ndarray) -> np.ndarray:
-    """The operator B whose image the step scalars read: J J^T for adjoint families, else J.
+def _image_map(problem, method: MethodSpec):
+    """``images(X, H)``: the rows B h for the rows h of H, B = f'(x) f'(x)^T or f'(x).
 
-    J is one Jacobian or a stack of them; a stack gives a stack of operators.
+    X is one point, applied to every row of H, or a stack of one point per
+    row.  Adjoint families take jvp(X, vjp(X, H)), the others jvp(X, H).
     """
-    return J @ np.swapaxes(J, -1, -2) if method.uses_adjoint else J
+    jvp, vjp = problem.jvp, problem.vjp
+    if jvp is None or vjp is None:
+        raise ArgumentError(
+            f"problem {problem.name!r} supplies no jvp/vjp operator actions; "
+            "the estimator images its directions by them")
 
+    adjoint = method.uses_adjoint
 
-def _images(B, H):
-    """The image B h of each row h of H, as rows; B is one operator, or a stack of one per row."""
-    return H @ B.T if B.ndim == 2 else (B @ H[:, :, None])[:, :, 0]
+    def images(X, H):
+        W = np.asarray(jvp(X, vjp(X, H)) if adjoint else jvp(X, H), dtype=float)
+        if W.shape != H.shape:
+            raise ArgumentError(
+                f"operator actions of problem {problem.name!r} return shape {W.shape} "
+                f"for directions of shape {H.shape}")
+        return W
+    return images
 
 
 # Both objectives score rows of directions H against their images W from
-# ``_images``; ``terms`` is ``norm_duality_rows(space, H)``, the parts of a
+# ``images``; ``terms`` is ``norm_duality_rows(space, H)``, the parts of a
 # ratio that depend on the directions alone, so one pass serves every
 # operator that H is scored against.
 
@@ -173,7 +188,10 @@ class _AcuteRatio:
     def score(self, H, W, terms):
         """The ratio of each row h of H and its image row w in W."""
         nh, duality = terms
-        den = nh * norm_rows(self.space, W)
+        with np.errstate(over="ignore"):
+            den = nh * norm_rows(self.space, W)
+        if np.isinf(den).any():  # W is finite: its norm, or that times ||h||, overflowed
+            raise ArgumentError("an image norm overflowed")
         num = semiscalar_rows(self.space, H, W, duality)
         # a vanishing image direction means the acuteness property fails outright
         return np.divide(num, den, out=np.zeros(len(den)), where=den > 0.0)
@@ -220,16 +238,16 @@ def _project_rows(space, center, r, X):
     return X
 
 
-_POINT_BLOCK = 8  # point candidates per stacked Jacobian call
+_POINT_BLOCK = 32  # point candidates per images call
 
 
-def _polish(objective, operator, space, center, r, x, h, iters: int = 40, path=None):
+def _polish(objective, images, space, center, r, x, h, iters: int = 40, path=None):
     """Projected coordinate descent over (ball point, unit direction h).
 
     ``objective.score`` scores each row direction of H against its image
-    under ``B = operator(x)``, or under the matching operator of a stack
-    ``operator(X)`` of one point per row; ``objective.minimize`` says which
-    way is better.  A sweep tries the 2n direction candidates
+    ``images(x, H)`` at the point x, or ``images(X, H)`` for a stack X of
+    one point per row; ``objective.minimize`` says which way is better.
+    No Jacobian is formed.  A sweep tries the 2n direction candidates
     ``h +- step e_j`` and then the point candidates ``x +- step r e_j``,
     accepting each one that improves.  Returns the best value; each
     accepted (x, h) is appended to ``path`` if one is given.  A non-finite
@@ -238,16 +256,15 @@ def _polish(objective, operator, space, center, r, x, h, iters: int = 40, path=N
     Each sweep scores its candidates in blocks and accepts the first
     improving one in sweep order; the candidates after it are built again
     from the new h or x and scored in a new block.  The direction sweep
-    keeps B, so its block is every remaining candidate (none is zero, as h
+    keeps x, so its block is every remaining candidate (none is zero, as h
     has norm 1 and a step at most 1/4).  The point sweep keeps h, so it
     takes the direction terms once, and its block is the next
-    ``_POINT_BLOCK`` candidates, whose operators come from one stacked
-    Jacobian call.
+    ``_POINT_BLOCK`` candidate points.
     """
     better = lt if objective.minimize else gt
 
-    def score(B, H, terms):
-        W = _images(B, H)
+    def score(X, H, terms):
+        W = images(X, H)
         if not np.isfinite(W).all():
             raise ArgumentError("the operator image of a polish candidate has non-finite entries")
         return objective.score(H, W, terms)
@@ -255,9 +272,8 @@ def _polish(objective, operator, space, center, r, x, h, iters: int = 40, path=N
     n = len(h)
     rows, cols = np.arange(2 * n), np.arange(2 * n) // 2  # candidate k moves coordinate k // 2
     signs = np.tile([1.0, -1.0], n)
-    B = operator(x)
     H = h[None, :]
-    best = score(B, H, norm_duality_rows(space, H))[0]
+    best = score(x, H, norm_duality_rows(space, H))[0]
     step = 0.25
     for _ in range(iters):
         improved = False
@@ -267,7 +283,7 @@ def _polish(objective, operator, space, center, r, x, h, iters: int = 40, path=N
             Hc = np.repeat(h[None, :], 2 * n - k, axis=0)
             Hc[rows[:2 * n - k], cols[k:]] += moves[k:]
             Hc /= norm_rows(space, Hc)[:, None]
-            v = score(B, Hc, norm_duality_rows(space, Hc))
+            v = score(x, Hc, norm_duality_rows(space, Hc))
             i = int(np.argmax(better(v, best)))  # the first improving candidate, if any
             if not better(v[i], best):
                 break
@@ -288,13 +304,12 @@ def _polish(objective, operator, space, center, r, x, h, iters: int = 40, path=N
                 Xc = np.repeat(x[None, :], m, axis=0)
                 Xc[rows[:m], cols[k:k + m]] += moves[k:k + m]
                 Xc = _project_rows(space, center, r, Xc)
-                Bc = operator(Xc)
-                v = score(Bc, H, terms)
+                v = score(Xc, H, terms)
                 i = int(np.argmax(better(v, best)))
                 if not better(v[i], best):
                     k += m
                     continue
-                best, x, B, improved = v[i], Xc[i], Bc[i], True
+                best, x, improved = v[i], Xc[i], True
                 if path is not None:
                     path.append((x, h))
                 k += i + 1
@@ -395,9 +410,15 @@ def sample_estimates(problem, method: MethodSpec, space: SpaceGeometry,
     center = np.asarray(problem.x0, dtype=float)
     pts = _ball_points(center, r, plan.n_points, rng, space)
     H0 = _direction_set(len(center), plan.n_dirs, rng, space)
+    images = _image_map(problem, method)
     adjoint = method.uses_adjoint
     acute, step = _AcuteRatio(space), _StepRatio(space, method)
     terms = norm_duality_rows(space, H0)
+
+    def non_finite(k):
+        return ArgumentError(
+            f"problem {problem.name!r}: the Jacobian at sampled ball point {k} "
+            "or an image there has non-finite entries")
 
     nu, nu_xh = math.inf, (pts[0], H0[0])
     lam, lam_xh = -math.inf, (pts[0], H0[0])
@@ -405,15 +426,11 @@ def sample_estimates(problem, method: MethodSpec, space: SpaceGeometry,
     theta = None if adjoint else 1.0
     lip = _LipschitzPairs(problem, space, center, r)
     for k, x in enumerate(pts):
+        # the Jacobian feeds the Lipschitz pairs and theta; a non-finite entry
+        # there, or in an image, would drop the point from every comparison below
         J = _jacobian(problem, x)
-        B = _operator(method, J)
-        # B is tested before the product, where a non-finite entry would warn, and
-        # its image W after it, as the product can overflow; a non-finite entry
-        # would drop the point from every comparison below
-        if not (np.isfinite(B).all() and np.isfinite(W := _images(B, H0)).all()):
-            raise ArgumentError(
-                f"problem {problem.name!r}: the operator at sampled ball point {k} "
-                "or its image of the sampled directions has non-finite entries")
+        if not (np.isfinite(J).all() and np.isfinite(W := images(x, H0)).all()):
+            raise non_finite(k)
         lip.visit(k, x, J)
         if adjoint:
             tn = _matrix_norm(space, J.T)
@@ -423,28 +440,27 @@ def sample_estimates(problem, method: MethodSpec, space: SpaceGeometry,
         i = int(np.argmin(ratios))
         if ratios[i] < nu:
             nu, nu_xh = float(ratios[i]), (x, H0[i])
-        fx = np.asarray(problem.f(x), dtype=float)
-        if np.isfinite(fx).all() and norm(space, fx) > 0.0:
-            F = fx[None, :]
-            ratio = float(acute.score(F, _images(B, F), norm_duality_rows(space, F))[0])
-            traj = min(traj, ratio)
-            if ratio < nu:
-                nu, nu_xh = ratio, (x, fx / norm(space, fx))
-
         if lam < math.inf:
             values = step.score(H0, W, terms)
             i = int(np.argmax(values))
             if values[i] > lam:
                 lam, lam_xh = float(values[i]), (x, H0[i])
 
-    if plan.refine:
-        def operator(x):
-            return _operator(method, _jacobian(problem, x))
+        fx = np.asarray(problem.f(x), dtype=float)
+        if np.isfinite(fx).all() and norm(space, fx) > 0.0:
+            F = fx[None, :]
+            if not np.isfinite(WF := images(x, F)).all():
+                raise non_finite(k)
+            ratio = float(acute.score(F, WF, norm_duality_rows(space, F))[0])
+            traj = min(traj, ratio)
+            if ratio < nu:
+                nu, nu_xh = ratio, (x, fx / norm(space, fx))
 
+    if plan.refine:
         if nu > 0.0:
-            nu = _polish(acute, operator, space, center, r, *nu_xh)
+            nu = _polish(acute, images, space, center, r, *nu_xh)
         if np.isfinite(lam):
-            lam = _polish(step, operator, space, center, r, *lam_xh)
+            lam = _polish(step, images, space, center, r, *lam_xh)
     # plain floats: the polish returns numpy scalars, which reports cannot take
     omega = lip.value()
     return Estimates(

@@ -7,9 +7,12 @@ The derivations are recorded in each problem's bounds note so the
 certificates are auditable rather than magic.
 
 Every ``jacobian`` takes one point, shape (n,), and returns J(x), shape
-(n, n), or a stack of k points, shape (k, n), and returns the (k, n, n)
-stack of their Jacobians, each one bit for bit the one-point result.  The
-estimator's polish evaluates its point candidates in such stacks.
+(n, n).  Every shipped problem also supplies the two operator actions
+``jvp(X, H)`` and ``vjp(X, H)``, which return the rows J(x) h and J(x)^T h
+for the rows h of H, shape (m, n), without forming J: X is one point, shape
+(n,), applied to every row, or a stack of m points, shape (m, n), one per
+row.  The estimator reads its ratios from these images; the dense Jacobian
+serves where a matrix norm is needed and in the solver's step.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ class Problem:
     known_solution: np.ndarray | None = None
     certified_bounds: CertifiedBounds | None = None
     params: dict = field(default_factory=dict)
+    jvp: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    vjp: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 def _require_euclidean_sigma(sigma: float, name: str) -> None:
@@ -62,11 +67,11 @@ def _antieigenvalues(m: float, M: float) -> tuple[float, float]:
     return 2.0 * math.sqrt(m * M) / (m + M), 2.0 * m * M / (m * m + M * M)
 
 
-def _constant_jacobian(A: np.ndarray):
-    """The Jacobian of an affine map: a copy of A per point of an (n,) point or (k, n) stack."""
-    def jacobian(x, _A=A):
-        return _A.copy() if np.ndim(x) == 1 else np.repeat(_A[None], len(x), axis=0)
-    return jacobian
+def _affine(A: np.ndarray) -> dict:
+    """The Jacobian and operator actions of an affine map with linear part A."""
+    return dict(jacobian=lambda x, _A=A: _A.copy(),
+                jvp=lambda X, H, _A=A: H @ _A.T,
+                vjp=lambda X, H, _A=A: H @ _A)
 
 
 def _linear_bound_resolver(m: float, M: float, R: float, name: str):
@@ -136,7 +141,7 @@ def linear_spd(m: float = 1.0, M: float = 4.0, dim: int = 2, b=None, x0=None,
     return Problem(
         name=name, dim=dim,
         f=lambda x, _A=A, _b=b: _A @ x - _b,
-        jacobian=_constant_jacobian(A),
+        **_affine(A),
         x0=x0, R=float(R), known_solution=x_star,
         certified_bounds=CertifiedBounds(_linear_bound_resolver(m, M, float(R), name)),
         params={"m": m, "M": M, "dim": dim, "rotate": rotate, "seed": seed})
@@ -164,7 +169,7 @@ def identity(dim: int = 3, b=None, R: float | None = None) -> Problem:
     return Problem(
         name=name, dim=dim,
         f=lambda x, _b=b: x - _b,
-        jacobian=_constant_jacobian(np.eye(dim)),
+        **_affine(np.eye(dim)),
         x0=np.zeros(dim), R=float(R), known_solution=b.copy(),
         certified_bounds=CertifiedBounds(resolve),
         params={"dim": dim})
@@ -218,18 +223,13 @@ def quad2d() -> Problem:
                   "0.1*sqrt(2)r over the r-ball; Jacobian Lipschitz "
                   "constant 0.2 (sharp along coordinate axes)"))
 
-    def jacobian(x):
-        x = np.asarray(x, dtype=float)
-        J = np.empty(x.shape[:-1] + (2, 2))
-        J[..., 0, 0] = J[..., 1, 1] = 1.0
-        J[..., 0, 1] = -0.2 * x[..., 1]
-        J[..., 1, 0] = -0.2 * x[..., 0]
-        return J
-
+    # J h = h - 0.2 (x1 h1, x0 h0) and J^T h = h - 0.2 (x0 h1, x1 h0)
     return Problem(
         name=name, dim=2,
         f=lambda x: np.array([x[0] - 0.1 * x[1] ** 2, x[1] - 0.1 * x[0] ** 2]),
-        jacobian=jacobian,
+        jacobian=lambda x: np.array([[1.0, -0.2 * x[1]], [-0.2 * x[0], 1.0]]),
+        jvp=lambda X, H: H - 0.2 * X[..., ::-1] * H[:, ::-1],
+        vjp=lambda X, H: H - 0.2 * X * H[:, ::-1],
         x0=x0, R=R, known_solution=np.zeros(2),
         certified_bounds=CertifiedBounds(resolve),
         params={})
@@ -267,7 +267,9 @@ def scalar_quad(c: float = 0.1, x0: float = 0.0, R: float = 5.0) -> Problem:
     return Problem(
         name=name, dim=1,
         f=lambda x, _c=c: np.array([x[0] - 0.05 * x[0] ** 2 - _c]),
-        jacobian=lambda x: (1.0 - 0.1 * np.asarray(x, dtype=float)[..., :1])[..., None],
+        jacobian=lambda x: np.array([[1.0 - 0.1 * x[0]]]),
+        jvp=lambda X, H: (1.0 - 0.1 * X) * H,
+        vjp=lambda X, H: (1.0 - 0.1 * X) * H,
         x0=np.array([float(x0)]), R=float(R),
         known_solution=np.array([x_star]),
         certified_bounds=CertifiedBounds(resolve),
@@ -293,20 +295,28 @@ def chandrasekhar(c: float = 0.5, n: int = 20, R: float = 2.0) -> Problem:
         with np.errstate(divide="ignore", invalid="ignore"):
             return H - 1.0 / (1.0 - g)
 
-    def jacobian(H, _K=K):
-        # the stacked gemv rounds each point's K H as the 1-point product does
-        g = (_K @ np.asarray(H, dtype=float)[..., None])[..., 0]
+    def jacobian(H, _K=K, _I=np.eye(n)):
+        g = _K @ H
         with np.errstate(divide="ignore", invalid="ignore"):
             s = 1.0 / (1.0 - g)
-        # I - diag(s^2) K without a pass over an identity: negate, then add 1
-        # on the diagonal; the bits are those of the subtraction wherever
-        # s_i^2 K_ij > 0, which K_ij > 0 gives inside the ball
-        J = (-(s * s))[..., None] * _K
-        J.reshape(-1, n * n)[:, ::n + 1] += 1.0
-        return J
+        J = (s * s)[:, None] * _K
+        return np.subtract(_I, J, out=J)
+
+    # J = I - diag(s^2) K with s = 1 / (1 - K x), so J h = h - s^2 * (K h) and
+    # J^T h = h - K^T (s^2 * h): O(n^2) a row, and no n x n array.  X K^T is
+    # K x for one point and a row K x_i per point of a stack.  No errstate (it
+    # costs more than the arithmetic at small n): where (K x)_i = 1 numpy
+    # warns, and the estimator refuses the non-finite rows.
+    def jvp(X, H, _K=K):
+        s = 1.0 / (1.0 - X @ _K.T)
+        return H - (s * s) * (H @ _K.T)
+
+    def vjp(X, H, _K=K):
+        s = 1.0 / (1.0 - X @ _K.T)
+        return H - ((s * s) * H) @ _K
 
     return Problem(
-        name="chandrasekhar", dim=n, f=f, jacobian=jacobian,
+        name="chandrasekhar", dim=n, f=f, jacobian=jacobian, jvp=jvp, vjp=vjp,
         x0=np.ones(n), R=float(R), known_solution=None,
         certified_bounds=None, params={"c": c, "n": n})
 
@@ -317,7 +327,7 @@ def indefinite2d() -> Problem:
     return Problem(
         name="indefinite2d", dim=2,
         f=lambda x, _A=A: _A @ x,
-        jacobian=_constant_jacobian(A),
+        **_affine(A),
         x0=np.array([1.0, 1.0]), R=4.0, known_solution=np.zeros(2),
         certified_bounds=None, params={})
 
@@ -385,27 +395,55 @@ def newton_solve(problem: Problem, x_start=None, res_tol: float = 1e-13,
 
 @dataclass
 class JacobianReport:
+    """Deviations of the analytic Jacobian and of the operator actions.
+
+    ``max_action_dev`` is None for a problem without ``jvp`` and ``vjp``.
+    """
+
     passed: bool
     max_rel_dev: float
     tol: float
     worst_point: np.ndarray | None = None
     worst_entry: tuple[int, int] | None = None
+    max_action_dev: float | None = None
+
+
+# jvp and vjp differ from the dense products by rounding alone
+_ACTION_TOL = 1e-13
+
+
+def _action_dev(got, expected: np.ndarray) -> float:
+    """Largest entry of |got - expected|, relative to the largest of |expected|."""
+    got = np.asarray(got, dtype=float)
+    if got.shape != expected.shape:
+        return math.inf
+    scale = max(float(np.abs(expected).max()), float(np.finfo(float).tiny))
+    return float(np.abs(got - expected).max()) / scale
 
 
 def validate_jacobian(problem: Problem, seed: int = 0, n_points: int = 10,
                       tol: float = 1e-6) -> JacobianReport:
-    """Compare the analytic Jacobian against central differences at seeded ball points."""
+    """Compare the analytic Jacobian against central differences at seeded ball points.
+
+    Where the problem supplies ``jvp`` and ``vjp``, also compare them with
+    ``H @ J(x).T`` and ``H @ J(x)`` for seeded rows H, at each point alone
+    and at the stack of all points with one row per point, to 1e-13
+    relative to the largest entry of the product.
+    """
     rng = np.random.default_rng(seed)
     dim = problem.dim
     eps3 = float(np.finfo(float).eps) ** (1.0 / 3.0)
     worst = 0.0
     worst_point = None
     worst_entry = None
+    points, jacobians = [], []
     for _ in range(n_points):
         d = rng.standard_normal(dim)
         d /= np.linalg.norm(d)
         x = np.asarray(problem.x0, float) + problem.R * rng.random() ** (1.0 / dim) * d
         J = np.asarray(problem.jacobian(x), dtype=float)
+        points.append(x)
+        jacobians.append(J)
         h = eps3 * (1.0 + float(np.linalg.norm(x)))
         J_fd = np.empty_like(J)
         for j in range(dim):
@@ -419,5 +457,19 @@ def validate_jacobian(problem: Problem, seed: int = 0, n_points: int = 10,
             worst = float(dev[i, j])
             worst_point = x.copy()
             worst_entry = (int(i), int(j))
-    return JacobianReport(passed=worst <= tol, max_rel_dev=worst, tol=tol,
-                          worst_point=worst_point, worst_entry=worst_entry)
+    action_dev = None
+    if problem.jvp is not None and problem.vjp is not None:
+        rng_h = np.random.default_rng([seed, 1])  # leaves the points those of the check above
+        X, Js = np.array(points), np.array(jacobians)
+        H = rng_h.standard_normal((n_points, dim))
+        devs = [_action_dev(problem.jvp(X, H), np.einsum("kij,kj->ki", Js, H)),
+                _action_dev(problem.vjp(X, H), np.einsum("kji,kj->ki", Js, H))]
+        for x, J in zip(points, jacobians):
+            H = rng_h.standard_normal((4, dim))
+            devs += [_action_dev(problem.jvp(x, H), H @ J.T),
+                     _action_dev(problem.vjp(x, H), H @ J)]
+        action_dev = float(np.max(devs))  # NaN, from a non-finite action, fails the check
+    passed = worst <= tol and (action_dev is None or action_dev <= _ACTION_TOL)
+    return JacobianReport(passed=passed, max_rel_dev=worst, tol=tol,
+                          worst_point=worst_point, worst_entry=worst_entry,
+                          max_action_dev=action_dev)

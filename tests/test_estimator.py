@@ -177,17 +177,6 @@ def test_estimator_rejects_radius_beyond_ball():
 SHIPPED_PLAN = gc.SamplePlan(seed=7, n_points=64, n_dirs=128, refine=True)
 
 
-def _counting(problem):
-    """The problem with its Jacobian calls, and the points they take, counted."""
-    work = {"calls": 0, "rows": 0}
-
-    def jacobian(x, _jac=problem.jacobian):
-        work["calls"] += 1
-        work["rows"] += len(x) if x.ndim == 2 else 1
-        return _jac(x)
-    return dataclasses.replace(problem, jacobian=jacobian), work
-
-
 @pytest.mark.parametrize("problem, method, space, expected", [
     # values of the per-estimate sampling loops that the one pass replaced;
     # the pass makes the same arithmetic, so they must not move
@@ -242,30 +231,32 @@ def test_failed_assumptions_report_acuteness_first():
         gc.estimated_bound_data(p, SD, EUC, plan, r=1.0)
 
 
-def test_estimator_jacobian_work_is_counted():
+def test_estimator_jacobian_work_is_counted(counting):
     # bound data plus a trajectory estimate: one full pass and one pass
     # without polishing (the trajectory ratio needs none)
     n = 20
-    p, work = _counting(gc.chandrasekhar(0.5, n))
+    p, work = counting(gc.chandrasekhar(0.5, n))
     gc.estimated_bound_data(p, SD, EUC, SHIPPED_PLAN)
     gc.estimate_nu_trajectory(p, SD, EUC, p.R, SHIPPED_PLAN)
-    # one point per call made 3572 of each before the polish stacked its
-    # point candidates
-    assert (work["rows"], work["calls"]) == (4843, 968)
-    # without polishing: one point per call, once per ball point (1 + 2n + 64)
-    # and once per half- and quarter-radius axis point (4n)
-    work.update(calls=0, rows=0)
+    # the Jacobians of the two sampling sweeps, and no more: the polish
+    # forms none (it made 968 stacked calls of 4,843 Jacobians before it
+    # read images); steepest descent takes no vjp
+    sampling = (1 + 2 * n + 64) + 4 * n
+    assert work == {"jacobian": 2 * sampling, "jvp calls": 1105, "jvp rows": 48341}
+    # without polishing: one Jacobian once per ball point (1 + 2n + 64) and
+    # once per half- and quarter-radius axis point (4n); two jvp calls per
+    # ball point, its n + 128 directions and its residual row
+    work.clear()
     gc.sample_estimates(p, SD, EUC, p.R, dataclasses.replace(SHIPPED_PLAN, refine=False))
-    sampling = work["calls"]
-    assert sampling == work["rows"] == (1 + 2 * n + 64) + 4 * n
-    # each of the two polishes evaluates one operator, then stacks of at
-    # most 8 point candidates, in fewer calls than the 2n candidates of
-    # each of 40 sweeps one at a time
-    work.update(calls=0, rows=0)
+    unpolished = dict(work)
+    assert unpolished == {"jacobian": sampling, "jvp calls": 2 * (1 + 2 * n + 64),
+                          "jvp rows": (1 + 2 * n + 64) * (n + 128 + 1)}
+    # each of the two polishes images one direction, then blocks of
+    # direction candidates and of at most 32 point candidates
+    work.clear()
     gc.sample_estimates(p, SD, EUC, p.R, SHIPPED_PLAN)
-    calls, rows = work["calls"] - sampling, work["rows"] - sampling
-    assert calls < 2 * (1 + 40 * 2 * n)
-    assert rows <= 2 + 8 * (calls - 2)
+    work.subtract(unpolished)
+    assert +work == {"jvp calls": 685, "jvp rows": 17051}
 
 
 def test_estimate_theta_rejects_radius_beyond_ball():
@@ -312,23 +303,60 @@ def test_non_finite_operator_at_a_sampled_point_is_an_error(value, method):
         gc.sample_estimates(_poisoned(p, point, value), method, EUC, p.R, plan)
 
 
+def _scaled(problem, scale):
+    """The problem with f, its Jacobian and its operator actions all scaled by ``scale``."""
+    return dataclasses.replace(
+        problem, f=lambda x, _f=problem.f: _f(x) * scale,
+        jacobian=lambda x, _j=problem.jacobian: _j(x) * scale,
+        jvp=lambda X, H, _a=problem.jvp: _a(X, H) * scale,
+        vjp=lambda X, H, _a=problem.vjp: _a(X, H) * scale)
+
+
 @pytest.mark.parametrize("polished", [False, True], ids=["unpolished", "polished"])
 def test_overflowing_image_norm_is_an_error(polished):
     # image norms near 1e160 overflow when squared as Python floats
-    base = gc.linear_spd(1, 4, 2)
-    p = dataclasses.replace(base, f=lambda x, _f=base.f: _f(x) * 1e160,
-                            jacobian=lambda x, _j=base.jacobian: _j(x) * 1e160)
+    p = _scaled(gc.linear_spd(1, 4, 2), 1e160)
     method, space = gc.MethodSpec(gc.BANACH_MIN_RESIDUAL), gc.sequence_p(4)
     with pytest.raises(ArgumentError, match="image norm overflowed"), \
             np.errstate(over="ignore", invalid="ignore"):
         if polished:
             x0 = np.asarray(p.x0, dtype=float)
             estimator._polish(estimator._StepRatio(space, method),
-                              lambda x: estimator._operator(method, estimator._jacobian(p, x)),
+                              estimator._image_map(p, method),
                               space, x0, p.R, x0, np.array([0.6, 0.8]))
         else:
             gc.sample_estimates(p, method, space, p.R, gc.SamplePlan(seed=1, n_points=8,
                                                                       n_dirs=16, refine=False))
+
+
+def test_overflowing_euclidean_image_norm_is_an_error_not_a_failed_acuteness():
+    # the finite images near 4e160 have Euclidean norms that overflow; the
+    # acuteness ratio used to score them 0, and estimated_bound_data then
+    # reported a failed positive-pairing assumption.  No numpy warning:
+    # tier-1 turns a RuntimeWarning into an error.
+    p = _scaled(gc.linear_spd(1, 4, 2), 1e160)
+    plan = gc.SamplePlan(seed=1, n_points=8, n_dirs=16)
+    for refine in (False, True):
+        with pytest.raises(ArgumentError, match="an image norm overflowed$"):
+            gc.estimated_bound_data(p, SD, EUC, dataclasses.replace(plan, refine=refine))
+    x0 = np.asarray(p.x0, dtype=float)
+    with pytest.raises(ArgumentError, match="an image norm overflowed$"):
+        estimator._polish(estimator._AcuteRatio(EUC), estimator._image_map(p, SD),
+                          EUC, x0, p.R, x0, np.array([0.6, 0.8]))
+
+
+def test_a_non_finite_image_at_a_sampled_point_is_an_error():
+    # the Jacobian is finite everywhere; the jvp is NaN at ball point 1 only
+    p = gc.chandrasekhar(0.5, 6)
+    point = np.asarray(p.x0, dtype=float) + p.R * np.eye(6)[0]
+
+    def jvp(X, H, _jvp=p.jvp):
+        W = _jvp(X, H)
+        return np.full_like(W, np.nan) if np.array_equal(X, point) else W
+
+    plan = gc.SamplePlan(seed=3, n_points=8, n_dirs=32, refine=False)
+    with pytest.raises(ArgumentError, match="'chandrasekhar'.* ball point 1 .*non-finite"):
+        gc.sample_estimates(dataclasses.replace(p, jvp=jvp), SD, EUC, p.R, plan)
 
 
 @settings(max_examples=200, deadline=None)

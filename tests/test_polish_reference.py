@@ -3,17 +3,19 @@
 ``reference_polish``, ``reference_acute_ratio``, ``reference_step_ratio``
 and ``reference_project_ball`` are copies of the sequential polish, its two
 objectives and its projection as they were before the polish scored its
-candidates in blocks.  A block images its rows by one product and takes
+candidates in blocks; the reference images a direction by the dense
+operator J or J J^T.  The estimator's polish images a block of directions
+by the problem's operator actions, jvp and vjp, with no Jacobian, and takes
 their norms by ``norm_rows``, which can round a row differently from the
-reference's 1-row product and ``norm``.  So the estimator must take the
+reference's dense product and ``norm``.  So the estimator must take the
 reference's accepted (point, direction) path step for step within a
 relative 1e-12, and return its value within a relative 1e-14.  The block
-polish evaluates more Jacobian rows than the sequential one, since a
-block's rows after an accepted one are built again, but in fewer, stacked
-calls.
+polish images more rows than the sequential one, since a block's rows
+after an accepted one are built again, but in fewer calls.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -94,15 +96,12 @@ def reference_polish(objective, operator, space, center, r, x, h, minimize: bool
     return best
 
 
-def _counted_operator(problem, method):
-    """The estimator's operator, counting its calls and the Jacobian rows they evaluate."""
-    work = {"calls": 0, "rows": 0}
-
+def reference_operator(problem, method):
+    """The dense operator B(x) the reference images by: J J^T for adjoint families, else J."""
     def operator(x):
-        work["calls"] += 1
-        work["rows"] += len(x) if x.ndim == 2 else 1
-        return estimator._operator(method, estimator._jacobian(problem, x))
-    return operator, work
+        J = np.asarray(problem.jacobian(x), dtype=float)
+        return J @ J.T if method.uses_adjoint else J
+    return operator
 
 
 def _starts(problem, space, seed):
@@ -124,8 +123,13 @@ def _same_path(got, expected, rel=1e-12):
         for (x, h), (x_ref, h_ref) in zip(got, expected))
 
 
+def _images(B, H):
+    """The image B h of each row h of H; B is one operator, or a stack of one per row."""
+    return H @ B.T if B.ndim == 2 else (B @ H[:, :, None])[:, :, 0]
+
+
 def _score(objective, space, B, H):
-    return objective.score(H, estimator._images(B, H), norm_duality_rows(space, H))
+    return objective.score(H, _images(B, H), norm_duality_rows(space, H))
 
 
 POLISH_CASES = [
@@ -146,46 +150,56 @@ def _objectives(space, method):
 
 
 @pytest.mark.parametrize("case, rows, calls", [
-    # Jacobian rows and calls over the four polishes of a case; the
-    # one-candidate polish makes 6404, 1924, 1924, 1924 and 844 calls of
-    # one row each
+    # jvp rows and calls over the four polishes of a case, and as many vjp
+    # rows and calls for the adjoint family; the one-candidate polish makes
+    # 6404, 1924, 1924, 1924 and 844 Jacobian calls of one row each
     (case, rows, calls) for case, (rows, calls) in zip(POLISH_CASES, [
-        (8918, 1193), (2904, 478), (2809, 469), (2879, 478), (844, 144)])],
+        (33796, 1383), (6466, 720), (6339, 728), (6468, 748), (2062, 377)])],
     ids=POLISH_IDS)
-def test_polish_equals_one_candidate_polish(case, rows, calls):
+def test_polish_equals_one_candidate_polish(case, rows, calls, counting):
     problem, family, space = case
     method = gc.MethodSpec(family)
     center, r = np.asarray(problem.x0, dtype=float), problem.R
-    op, work = _counted_operator(problem, method)
-    ref_op, ref_work = _counted_operator(problem, method)
+    counted, work = counting(problem)
+    images = estimator._image_map(counted, method)
+    ref_calls = Counter()
+
+    def ref_op(x, _op=reference_operator(problem, method)):
+        ref_calls["operator"] += 1
+        return _op(x)
+
     for x, h in _starts(problem, space, seed=3):
         for objective, reference in _objectives(space, method):
             path, ref_path = [], []
             expected = reference_polish(reference, ref_op, space, center, r, x, h,
                                         objective.minimize, path=ref_path)
-            got = estimator._polish(objective, op, space, center, r, x, h, path=path)
+            got = estimator._polish(objective, images, space, center, r, x, h, path=path)
             assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
             assert _same_path(path, ref_path)
-    assert ref_work["calls"] == ref_work["rows"]
-    assert (work["rows"], work["calls"]) == (rows, calls)
-    assert calls < ref_work["calls"]
+    # the polish forms no Jacobian: it reads images only
+    assert work["jacobian"] == 0
+    assert (work["jvp rows"], work["jvp calls"]) == (rows, calls)
+    adjoint = (rows, calls) if method.uses_adjoint else (0, 0)
+    assert (work["vjp rows"], work["vjp calls"]) == adjoint
+    assert calls < ref_calls["operator"]
 
 
 @pytest.mark.parametrize("case", POLISH_CASES[:4], ids=POLISH_IDS[:4])
 def test_a_nan_operator_at_a_polish_candidate_raises(case):
-    # the last point candidate of every stack gets a NaN operator; the
-    # acuteness polish used to score its image 0, a ratio that improves on
-    # every positive one, and the step polish skipped it when an earlier
+    # the last point candidate of every block gets a NaN image; the
+    # acuteness polish used to score such an image 0, a ratio that improves
+    # on every positive one, and the step polish skipped it when an earlier
     # row improved
     problem, family, space = case
     method = gc.MethodSpec(family)
     center, r = np.asarray(problem.x0, dtype=float), problem.R
+    images = estimator._image_map(problem, method)
 
-    def poisoned(x):
-        B = estimator._operator(method, estimator._jacobian(problem, x))
-        if x.ndim == 2:
-            B[-1] = np.nan
-        return B
+    def poisoned(X, H):
+        W = images(X, H)
+        if X.ndim == 2:
+            W[-1] = np.nan
+        return W
 
     for x, h in _starts(problem, space, seed=3):
         for objective, _ in _objectives(space, method):
@@ -194,25 +208,26 @@ def test_a_nan_operator_at_a_polish_candidate_raises(case):
 
 
 def test_a_non_finite_image_raises_where_the_one_candidate_polish_does():
-    # every point candidate's operator is NaN: the one-candidate polish
-    # raises on the first one it scores, and so does the block polish
+    # every point candidate's image is NaN: the one-candidate polish raises
+    # on the first one it scores, and so does the block polish
     problem, space = gc.chandrasekhar(0.5, 6), EUC
     method = gc.MethodSpec(gc.MIN_RESIDUAL)
     center, h = np.asarray(problem.x0, dtype=float), np.eye(6)[0]
+    operator, images = reference_operator(problem, method), estimator._image_map(problem, method)
 
-    def operator(x):
-        B = estimator._operator(method, estimator._jacobian(problem, x))
-        return B if x.ndim == 1 else np.full_like(B, np.nan)
+    def nan_images(X, H):
+        W = images(X, H)
+        return W if X.ndim == 1 else np.full_like(W, np.nan)
 
-    def reference_operator(x):
+    def reference_nan_operator(x):
         B = operator(x)
         return B if x is center else np.full_like(B, np.nan)
 
     with pytest.raises(ArgumentError):
-        reference_polish(reference_step_ratio(space, method), reference_operator, space,
+        reference_polish(reference_step_ratio(space, method), reference_nan_operator, space,
                          center, problem.R, center, h, minimize=False, path=[])
     with pytest.raises(ArgumentError):
-        estimator._polish(estimator._StepRatio(space, method), operator, space, center,
+        estimator._polish(estimator._StepRatio(space, method), nan_images, space, center,
                           problem.R, center, h)
 
 
@@ -224,7 +239,7 @@ def _assert_scores_close(got, expected, space, B, H):
     # pairing where it cancels: every ratio is a pairing times or over
     # factors that round relatively, and a pairing rounds relative to
     # ||h|| ||Bh||, not to its own size
-    W = estimator._images(B, H)
+    W = _images(B, H)
     cond = norm_rows(space, H) * norm_rows(space, W) / np.abs(semiscalar_rows(space, H, W))
     expected = np.array(expected)
     assert np.array_equal(np.isinf(got), np.isinf(expected))

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import gradcert as gc
-from gradcert import estimator
 from gradcert.errors import ArgumentError
 
 EUC = gc.euclidean()
@@ -164,28 +163,50 @@ def _ball_stack(p, k, seed):
     return p.x0 + p.R * rng.random((k, 1)) ** (1.0 / p.dim) * D
 
 
-STACK_PROBLEMS = ([(p.name, p) for p in gc.registry()]
-                  + [(f"chandrasekhar-n{n}", gc.chandrasekhar(0.5, n)) for n in (2, 6, 20, 80)])
+ACTION_PROBLEMS = ([(p.name, p) for p in gc.registry()]
+                   + [(f"chandrasekhar-n{n}", gc.chandrasekhar(0.5, n)) for n in (2, 6, 20, 80)])
 
 
-@pytest.mark.parametrize("p", [p for _, p in STACK_PROBLEMS],
-                         ids=[name for name, _ in STACK_PROBLEMS])
-def test_stacked_jacobian_equals_one_point_jacobians(p):
-    # the estimator's polish takes the Jacobians of its point candidates in
-    # stacks; each one must be the one-point Jacobian, sign bits included
+@pytest.mark.parametrize("p", [p for _, p in ACTION_PROBLEMS],
+                         ids=[name for name, _ in ACTION_PROBLEMS])
+def test_operator_actions_equal_jacobian_products(p):
+    # the estimator reads every ratio from jvp and vjp, at one point or at a
+    # stack of one point per row; validate_jacobian compares both with the
+    # dense products, and each row of a stack must be its own point's product
+    report = gc.validate_jacobian(p, seed=123)
+    assert report.passed, (p.name, report.max_rel_dev, report.max_action_dev)
+    assert report.max_action_dev <= 1e-13
+    rng = np.random.default_rng(4)
     for k, seed in ((1, 0), (8, 1), (13, 2)):
         X = _ball_stack(p, k, seed)
-        J = p.jacobian(X)
-        assert J.shape == (k, p.dim, p.dim)
-        for i in range(k):
-            assert J[i].tobytes() == np.asarray(p.jacobian(X[i]), dtype=float).tobytes()
+        H = rng.standard_normal((k, p.dim))
+        for action, transpose in ((p.jvp, False), (p.vjp, True)):
+            W = action(X, H)
+            assert W.shape == (k, p.dim)
+            for i in range(k):
+                J = np.asarray(p.jacobian(X[i]), dtype=float)
+                expected = H[i] @ (J if transpose else J.T)
+                assert np.abs(W[i] - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_a_corrupted_operator_action_fails_validation():
+    # jvp and vjp swapped: the same at x1 = x0, so only off that line
+    p = gc.quad2d()
+    bad = dataclasses.replace(p, jvp=p.vjp, vjp=p.jvp)
+    report = gc.validate_jacobian(bad, seed=7)
+    assert not report.passed
+    assert report.max_rel_dev <= 1e-6  # the Jacobian itself is right
+    assert report.max_action_dev > 1e-3
+    assert gc.validate_jacobian(p, seed=7).passed
+    # a NaN action fails rather than dropping out of the maximum
+    nan = dataclasses.replace(p, vjp=lambda X, H: np.full(H.shape, np.nan))
+    assert not gc.validate_jacobian(nan, seed=7).passed
 
 
 @pytest.mark.parametrize("n", [2, 6, 20, 80])
 def test_chandrasekhar_jacobian_is_identity_minus_scaled_kernel(n):
     # J = I - diag(s^2) K with s = 1 / (1 - K H), bit for bit, from the
-    # formula written out; -(s_i^2 K_ij) + 1 on the diagonal rounds as
-    # 1 - s_i^2 K_ij, and off it K_ij > 0 keeps the sign of 0 - s_i^2 K_ij
+    # formula written out
     c = 0.5
     p = gc.chandrasekhar(c, n)
     mu = (np.arange(n) + 0.5) / n
@@ -195,19 +216,22 @@ def test_chandrasekhar_jacobian_is_identity_minus_scaled_kernel(n):
         assert p.jacobian(x).tobytes() == (np.eye(n) - (s * s)[:, None] * K).tobytes()
 
 
-def test_a_jacobian_that_ignores_the_stack_is_refused():
+def test_a_problem_without_operator_actions_is_refused():
     p = gc.linear_spd(1, 4, 3)
-    A = p.jacobian(p.x0)
-    flat = dataclasses.replace(p, jacobian=lambda x: A.copy())
-    X = _ball_stack(p, 4, 3)
-    with pytest.raises(ArgumentError, match=r"\(4, 3, 3\)"):
-        estimator._jacobian(flat, X)
-    # the one-point call still works; the polish's stacked call refuses it
-    assert estimator._jacobian(flat, X[0]).tobytes() == A.tobytes()
+    bare = dataclasses.replace(p, jvp=None, vjp=None)
     plan = gc.SamplePlan(seed=0, n_points=4, n_dirs=8)
     method = gc.MethodSpec(gc.MIN_RESIDUAL)
-    gc.sample_estimates(flat, method, EUC, 1.0, dataclasses.replace(plan, refine=False))
-    with pytest.raises(ArgumentError, match="jacobian of problem 'linear_spd'"):
+    for refine in (False, True):
+        with pytest.raises(ArgumentError, match="problem 'linear_spd' supplies no jvp/vjp"):
+            gc.sample_estimates(bare, method, EUC, 1.0, dataclasses.replace(plan, refine=refine))
+    # the Lipschitz estimate and the Jacobian check read matrices only
+    assert gc.estimate_omega_lipschitz(bare, 1.0, plan) == 0.0
+    report = gc.validate_jacobian(bare, seed=5)
+    assert report.passed and report.max_action_dev is None
+    # an action that ignores the rows of a stack is refused by shape
+    A = p.jacobian(p.x0)
+    flat = dataclasses.replace(p, jvp=lambda X, H: (H @ A.T)[:1])
+    with pytest.raises(ArgumentError, match=r"return shape \(1, 3\)"):
         gc.sample_estimates(flat, method, EUC, 1.0, plan)
 
 

@@ -1,5 +1,6 @@
 """The example scripts run end to end on the package in ``src``."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -33,3 +34,41 @@ def test_fixed_clock_digest_is_stable(tmp_path):
     assert runs[0] == runs[1]
     assert {line.split()[1] for line in runs[0]} == {
         "estimate", "certify", "solve", "verify-space"}
+
+
+def _digest_module():
+    spec = importlib.util.spec_from_file_location(
+        "fixed_clock_digest", ROOT / "scripts" / "fixed_clock_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_numeric_leaves_name_each_number_by_its_json_path():
+    leaves = _digest_module().numeric_leaves(
+        {"a": {"b": [1, 2.5, True, "x", None, {"c": -0.0}]}, "d": 1e-300, "e": False})
+    assert list(leaves) == [("a.b[0]", "1"), ("a.b[1]", "2.5"), ("a.b[5].c", "-0.0"),
+                            ("d", "1e-300")]
+
+
+def test_fixed_clock_digest_fields_lists_every_numeric_leaf(tmp_path):
+    # the same exit lines as the digest, and a line per numeric report leaf and
+    # trace cell in place of each report and trace digest
+    config = ROOT / "configs" / "linear_minres.json"
+    cmd = [sys.executable, str(ROOT / "scripts" / "fixed_clock_digest.py"), str(ROOT),
+           str(config)]
+    digest, fields = (subprocess.run(cmd + extra, cwd=tmp_path, capture_output=True,
+                                     text=True, check=True).stdout.splitlines()
+                      for extra in ([], ["--fields"]))
+    assert [line for line in fields if " exit " in line] == [
+        line for line in digest if " exit " in line]
+    assert not any(" report " in line for line in fields)
+    for line in fields:
+        name, command, path, value = line.split(" ")
+        assert name == config.name and command in {"estimate", "certify", "solve",
+                                                   "verify-space"}
+        if path not in ("trace", "exit"):
+            float(value)
+    paths = {tuple(line.split(" ")[1:3]) for line in fields}
+    assert {("certify", "certificate.r"), ("solve", "trace.res_norm[0]"),
+            ("solve", "exit_status")} <= paths
