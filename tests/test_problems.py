@@ -169,10 +169,11 @@ ACTION_PROBLEMS = ([(p.name, p) for p in gc.registry()]
 
 @pytest.mark.parametrize("p", [p for _, p in ACTION_PROBLEMS],
                          ids=[name for name, _ in ACTION_PROBLEMS])
-def test_operator_actions_equal_jacobian_products(p):
-    # the estimator reads every ratio from jvp and vjp, at one point or at a
-    # stack of one point per row; validate_jacobian compares both with the
-    # dense products, and each row of a stack must be its own point's product
+def test_stacked_jacobian_equals_one_point_jacobians(p):
+    # the estimator reads every ratio from the Jacobian actions jvp and vjp,
+    # at one point or at a stack of one point per row; validate_jacobian
+    # compares both with the dense products, and each row of a stack must be
+    # its own point's one-point Jacobian product
     report = gc.validate_jacobian(p, seed=123)
     assert report.passed, (p.name, report.max_rel_dev, report.max_action_dev)
     assert report.max_action_dev <= 1e-13
