@@ -36,7 +36,7 @@ def show(problem, method, bounds, label):
     attach = cert.feasible
     trace = gc.solve(problem, method, EUC, gc.StopRule(1e-10, 300),
                      cert if attach else None, bounds if attach else None)
-    x_star = gc.newton_solve(problem, res_tol=1e-13)
+    x_star = gc.newton_solve(problem)
     print(f"run: {trace.termination} in {trace.n_steps} steps")
     print(f"{'n':>3} {'residual':>12} {'true error':>12} {'apost bound':>12} "
           f"{'apriori bound':>13}")

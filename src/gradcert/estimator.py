@@ -25,11 +25,11 @@ point and once per extra axis point of the Lipschitz pairs, and then
 polishes the worst acuteness ratio and the largest step-size ratio.  Both
 ratios are scored by the polish's objectives, ``_AcuteRatio`` and
 ``_StepRatio``: at each ball point the sweep images the direction set by
-one ``images`` call and scores both ratios from it, and images the
-residual row, whose one value is both the trajectory ratio and an
-acuteness candidate.  A non-finite Jacobian or image at a ball point or a
-polish candidate raises ArgumentError, and so does an image whose norm
-overflows.  The ``Estimates`` record it returns holds the five values as
+one ``images`` call and scores both ratios from it, and images the unit
+residual f(x)/||f(x)||, whose one value is both the trajectory ratio and
+an acuteness candidate.  A non-finite Jacobian or image at a ball point or
+a polish candidate raises ArgumentError, and so does an image or residual
+whose norm overflows.  The ``Estimates`` record holds the five values as
 Python floats; the ``estimate_*`` functions read that record.
 
 The polish is a coordinate descent that accepts the first improving
@@ -239,9 +239,10 @@ def _project_rows(space, center, r, X):
 
 
 _POINT_BLOCK = 32  # point candidates per images call
+_POLISH_SWEEPS = 40  # most sweeps of one polish
 
 
-def _polish(objective, images, space, center, r, x, h, iters: int = 40, path=None):
+def _polish(objective, images, space, center, r, x, h, path=None):
     """Projected coordinate descent over (ball point, unit direction h).
 
     ``objective.score`` scores each row direction of H against its image
@@ -275,7 +276,7 @@ def _polish(objective, images, space, center, r, x, h, iters: int = 40, path=Non
     H = h[None, :]
     best = score(x, H, norm_duality_rows(space, H))[0]
     step = 0.25
-    for _ in range(iters):
+    for _ in range(_POLISH_SWEEPS):
         improved = False
         moves = step * signs
         k = 0
@@ -447,14 +448,16 @@ def sample_estimates(problem, method: MethodSpec, space: SpaceGeometry,
                 lam, lam_xh = float(values[i]), (x, H0[i])
 
         fx = np.asarray(problem.f(x), dtype=float)
-        if np.isfinite(fx).all() and norm(space, fx) > 0.0:
-            F = fx[None, :]
+        if np.isfinite(fx).all() and (nf := norm(space, fx)) > 0.0:
+            if nf == math.inf:  # finite entries whose norm overflows
+                raise ArgumentError(f"the residual norm at sampled ball point {k} overflowed")
+            F = (fx / nf)[None, :]  # unit: ||f(x)|| times an image norm may overflow
             if not np.isfinite(WF := images(x, F)).all():
                 raise non_finite(k)
             ratio = float(acute.score(F, WF, norm_duality_rows(space, F))[0])
             traj = min(traj, ratio)
             if ratio < nu:
-                nu, nu_xh = ratio, (x, fx / norm(space, fx))
+                nu, nu_xh = ratio, (x, F[0])
 
     if plan.refine:
         if nu > 0.0:

@@ -38,6 +38,8 @@ from .errors import ArgumentError, AssumptionError, DivergenceError
 _SERIES_RTOL = 1e-12
 _SERIES_CAP = 1_000_000
 _ROOT_ATOL = 1e-12
+_VALIDATE_GRID = 33  # r-grid points of the monotonicity check
+_CERTIFY_GRID = 128  # r-grid points of the radius scan
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +225,9 @@ class BoundData:
             return mu_min_family(nu, sigma)
         return mu_altman_family(nu, self.vartheta, sigma)
 
-    def validate(self, sigma: float = 1.0, n_grid: int = 33) -> None:
+    def validate(self, sigma: float = 1.0) -> None:
         """Grid-check the monotonicity assumptions; raises ArgumentError."""
-        rs = np.linspace(0.0, self.R, n_grid)
+        rs = np.linspace(0.0, self.R, _VALIDATE_GRID)
         slack = 1e-12
 
         def _mono(name, vals, direction):
@@ -452,8 +454,7 @@ def _certificate_at(bounds: BoundData, sigma: float, a: float, r: float,
         linear_rate=mu, diagnostics=diagnostics, relaxation=rmap)
 
 
-def certify(bounds: BoundData, sigma: float, a: float,
-            n_grid: int = 128) -> MajorantCertificate:
+def certify(bounds: BoundData, sigma: float, a: float) -> MajorantCertificate:
     """Search for the smallest radius whose majorant condition holds.
 
     Scans an r-grid on (0, R] up to the first feasible radius, refines the
@@ -473,7 +474,7 @@ def certify(bounds: BoundData, sigma: float, a: float,
         except (AssumptionError, DivergenceError):
             return math.inf
 
-    grid = np.linspace(R / n_grid, R, n_grid)
+    grid = np.linspace(R / _CERTIFY_GRID, R, _CERTIFY_GRID)
     vals = []
     for r in grid:
         vals.append(excess(r))

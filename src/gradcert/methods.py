@@ -59,6 +59,7 @@ BANACH_FAMILIES = (
     BANACH_MIN_RESIDUAL, BANACH_STEEPEST_DESCENT, BANACH_ALTMAN_STEEPEST_DESCENT)
 HILBERT_FAMILIES = tuple(f for f in ALL_FAMILIES if f not in BANACH_FAMILIES)
 _EPS_BREAKDOWN = 1e-14
+_VERIFY_RTOL = 1e-9  # relative slack of each bound verify_relaxation checks
 
 
 @dataclass(frozen=True)
@@ -316,7 +317,7 @@ class VerificationReport:
 
 
 def verify_relaxation(trace: IterationTrace, cert: majorant.MajorantCertificate,
-                      bounds: majorant.BoundData, tol: float = 1e-9) -> VerificationReport:
+                      bounds: majorant.BoundData) -> VerificationReport:
     """Check every recorded step against the certificate's per-step bounds.
 
     Asserts, for each executed step, that the residual norm contracted at
@@ -339,18 +340,18 @@ def verify_relaxation(trace: IterationTrace, cert: majorant.MajorantCertificate,
     lt = rmap.lt
     report = VerificationReport()
     for i, step in enumerate(trace.steps):
-        if step.dist_from_center > r * (1.0 + tol):
+        if step.dist_from_center > r * (1.0 + _VERIFY_RTOL):
             report.violations.append(
                 Violation(step.n, "ball", step.dist_from_center, r))
         if math.isnan(step.lambda_) or i + 1 >= len(trace.steps):
             continue
         res_next = trace.steps[i + 1].res_norm
         allowed = rmap(step.res_norm)
-        if res_next > allowed * (1.0 + tol):
+        if res_next > allowed * (1.0 + _VERIFY_RTOL):
             report.violations.append(
                 Violation(step.n, "residual", res_next, allowed))
         step_allowed = lt * step.res_norm
-        if step.step_norm > step_allowed * (1.0 + tol):
+        if step.step_norm > step_allowed * (1.0 + _VERIFY_RTOL):
             report.violations.append(
                 Violation(step.n, "step", step.step_norm, step_allowed))
         report.checked_steps += 1

@@ -367,14 +367,13 @@ def registry() -> list[Problem]:
 # ---------------------------------------------------------------------------
 # oracles and validation
 
-def newton_solve(problem: Problem, x_start=None, res_tol: float = 1e-13,
-                 max_iter: int = 100) -> np.ndarray:
-    """Damped Newton reference solver; an oracle, never a certified method."""
-    x = np.array(problem.x0 if x_start is None else x_start, dtype=float)
-    for _ in range(max_iter):
+def newton_solve(problem: Problem) -> np.ndarray:
+    """Damped Newton from x0 to a residual of 1e-13; an oracle, never a certified method."""
+    x = np.array(problem.x0, dtype=float)
+    for _ in range(100):
         fx = np.asarray(problem.f(x), dtype=float)
         res = float(np.linalg.norm(fx))
-        if res <= res_tol:
+        if res <= 1e-13:
             return x
         try:
             step = np.linalg.solve(np.asarray(problem.jacobian(x), float), -fx)
@@ -390,7 +389,7 @@ def newton_solve(problem: Problem, x_start=None, res_tol: float = 1e-13,
             t *= 0.5
         else:
             raise ConvergenceError("Newton oracle: line search failed")
-    raise ConvergenceError(f"Newton oracle did not reach {res_tol} in {max_iter} steps")
+    raise ConvergenceError("Newton oracle did not reach 1e-13 in 100 steps")
 
 
 @dataclass
@@ -410,6 +409,8 @@ class JacobianReport:
 
 # jvp and vjp differ from the dense products by rounding alone
 _ACTION_TOL = 1e-13
+_FD_POINTS = 10  # seeded ball points of the finite-difference check
+_FD_TOL = 1e-6  # its tolerance on the largest relative deviation
 
 
 def _action_dev(got, expected: np.ndarray) -> float:
@@ -421,8 +422,7 @@ def _action_dev(got, expected: np.ndarray) -> float:
     return float(np.abs(got - expected).max()) / scale
 
 
-def validate_jacobian(problem: Problem, seed: int = 0, n_points: int = 10,
-                      tol: float = 1e-6) -> JacobianReport:
+def validate_jacobian(problem: Problem, seed: int = 0) -> JacobianReport:
     """Compare the analytic Jacobian against central differences at seeded ball points.
 
     Where the problem supplies ``jvp`` and ``vjp``, also compare them with
@@ -437,7 +437,7 @@ def validate_jacobian(problem: Problem, seed: int = 0, n_points: int = 10,
     worst_point = None
     worst_entry = None
     points, jacobians = [], []
-    for _ in range(n_points):
+    for _ in range(_FD_POINTS):
         d = rng.standard_normal(dim)
         d /= np.linalg.norm(d)
         x = np.asarray(problem.x0, float) + problem.R * rng.random() ** (1.0 / dim) * d
@@ -461,7 +461,7 @@ def validate_jacobian(problem: Problem, seed: int = 0, n_points: int = 10,
     if problem.jvp is not None and problem.vjp is not None:
         rng_h = np.random.default_rng([seed, 1])  # leaves the points those of the check above
         X, Js = np.array(points), np.array(jacobians)
-        H = rng_h.standard_normal((n_points, dim))
+        H = rng_h.standard_normal((_FD_POINTS, dim))
         devs = [_action_dev(problem.jvp(X, H), np.einsum("kij,kj->ki", Js, H)),
                 _action_dev(problem.vjp(X, H), np.einsum("kji,kj->ki", Js, H))]
         for x, J in zip(points, jacobians):
@@ -469,7 +469,7 @@ def validate_jacobian(problem: Problem, seed: int = 0, n_points: int = 10,
             devs += [_action_dev(problem.jvp(x, H), H @ J.T),
                      _action_dev(problem.vjp(x, H), H @ J)]
         action_dev = float(np.max(devs))  # NaN, from a non-finite action, fails the check
-    passed = worst <= tol and (action_dev is None or action_dev <= _ACTION_TOL)
-    return JacobianReport(passed=passed, max_rel_dev=worst, tol=tol,
+    passed = worst <= _FD_TOL and (action_dev is None or action_dev <= _ACTION_TOL)
+    return JacobianReport(passed=passed, max_rel_dev=worst, tol=_FD_TOL,
                           worst_point=worst_point, worst_entry=worst_entry,
                           max_action_dev=action_dev)

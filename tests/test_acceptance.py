@@ -98,7 +98,7 @@ def test_relaxation_invariant_on_certified_builtins():
             n_feasible += 1
             trace = gc.solve(problem, method, EUC, stop, cert, bounds)
             assert trace.termination == "converged", (problem.name, family)
-            report = gc.verify_relaxation(trace, cert, bounds, tol=1e-9)
+            report = gc.verify_relaxation(trace, cert, bounds)
             assert report.ok, (problem.name, family, report.violations[:3])
             for step in trace.steps:
                 assert step.dist_from_center <= cert.r * (1.0 + 1e-9)
@@ -116,7 +116,7 @@ def test_aposteriori_bound_quad2d_and_chandrasekhar():
     # feasible radius, so the fallback certificate at r = R is used and the
     # bound map stays evaluable because a < phi*(R)
     pq = gc.quad2d()
-    x_star_q = gc.newton_solve(pq, res_tol=1e-13)
+    x_star_q = gc.newton_solve(pq)
     for family in (gc.MIN_RESIDUAL, gc.STEEPEST_DESCENT):
         method, bounds, cert = certified_setup(pq, family)
         assert cert.phi_star is not None and cert.a < cert.phi_star
@@ -138,7 +138,7 @@ def test_aposteriori_bound_quad2d_and_chandrasekhar():
                      cert if cert.feasible else None,
                      bounds if cert.feasible else None)
     assert trace.termination == "converged"
-    x_star_c = gc.newton_solve(pc, res_tol=1e-13)
+    x_star_c = gc.newton_solve(pc)
     for step in trace.steps:
         bound = gc.aposteriori_bound(cert, bounds, step.res_norm)
         err = float(np.linalg.norm(step.x - x_star_c))
@@ -212,12 +212,11 @@ def test_sigma_degeneracy_p2():
 def test_bynum_inequality_sampling():
     t0 = time.perf_counter()
     for p in (2.0, 3.0, 4.0):
-        report = gc.verify_space_axioms(gc.sequence_p(p), n_samples=100000,
-                                        seed=777, tol=1e-9)
+        report = gc.verify_space_axioms(gc.sequence_p(p), n_samples=100000, seed=777)
         assert report.passed, (p, report.checks["quadratic_inequality"].worst_slack)
         assert report.n_checked >= 100000 // 3
     bad = gc.verify_space_axioms(gc.sequence_p(4), n_samples=100000, seed=777,
-                                 sigma=0.5 * 3.0, tol=1e-9)
+                                 sigma=0.5 * 3.0)
     assert not bad.passed
     assert bad.checks["quadratic_inequality"].violations > 0
     elapsed = time.perf_counter() - t0
@@ -295,7 +294,7 @@ def test_negative_controls(tmp_path):
     assert cert.feasible
     trace = gc.solve(p, gc.MethodSpec(gc.MIN_RESIDUAL), EUC,
                      gc.StopRule(1e-10, 300), cert, bad)
-    report = gc.verify_relaxation(trace, cert, bad, tol=1e-9)
+    report = gc.verify_relaxation(trace, cert, bad)
     assert len(report.violations) > 0
 
     # (b) the indefinite-Jacobian problem triggers an acuteness failure

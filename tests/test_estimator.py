@@ -156,7 +156,7 @@ def test_estimated_bounds_certify_and_verify_linear():
     assert cert.feasible
     assert cert.linear_rate == pytest.approx(0.6, abs=1e-5)
     trace = gc.solve(p, MR, EUC, gc.StopRule(1e-10, 300), cert, bounds)
-    report = gc.verify_relaxation(trace, cert, bounds, tol=1e-9)
+    report = gc.verify_relaxation(trace, cert, bounds)
     assert report.ok
 
 
@@ -327,6 +327,34 @@ def test_overflowing_image_norm_is_an_error(polished):
         else:
             gc.sample_estimates(p, method, space, p.R, gc.SamplePlan(seed=1, n_points=8,
                                                                       n_dirs=16, refine=False))
+
+
+def _residual_scaled(problem, scale):
+    """The problem with f alone scaled by ``scale``: its operator is unchanged."""
+    return dataclasses.replace(problem, f=lambda x, _f=problem.f: _f(x) * scale)
+
+
+@pytest.mark.parametrize("refine", [False, True], ids=["unrefined", "refined"])
+def test_a_residual_scaled_near_overflow_leaves_the_estimates(refine):
+    # ||f(x)|| near 1e160 times an image norm overflows, but the ratios are
+    # scale-free and the sweep scores the unit residual f(x)/||f(x)||
+    p = gc.linear_spd(1, 4, 2)
+    method, space = gc.MethodSpec(gc.BANACH_MIN_RESIDUAL), gc.sequence_p(4)
+    plan = gc.SamplePlan(seed=1, n_points=8, n_dirs=16, refine=refine)
+    got = gc.sample_estimates(_residual_scaled(p, 1e160), method, space, p.R, plan)
+    want = gc.sample_estimates(p, method, space, p.R, plan)
+    assert want.nu_trajectory is not None
+    for name in ("nu_tilde", "lambda_tilde", "nu_trajectory", "theta", "omega_lipschitz"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-15, abs=0.0)
+
+
+def test_an_overflowing_residual_norm_is_an_error():
+    # finite entries near 1e160 whose Euclidean norm overflows
+    p = _residual_scaled(gc.linear_spd(1, 4, 2), 1e160)
+    plan = gc.SamplePlan(seed=1, n_points=8, n_dirs=16, refine=False)
+    with pytest.raises(ArgumentError, match="residual norm at sampled ball point 0 overflowed"), \
+            np.errstate(over="ignore"):
+        gc.sample_estimates(p, SD, EUC, p.R, plan)
 
 
 def test_overflowing_euclidean_image_norm_is_an_error_not_a_failed_acuteness():

@@ -277,7 +277,7 @@ def test_certified_trace_columns():
     rs = trace.res_norms
     assert all(b <= a * (1 + 1e-12) for a, b in zip(rs, rs[1:]))
     # error is dominated by the a posteriori column (Newton reference)
-    x_star = gc.newton_solve(p, res_tol=1e-13)
+    x_star = gc.newton_solve(p)
     for s in trace.steps:
         assert np.linalg.norm(s.x - x_star) <= s.apost_bound + 1e-8
 
@@ -289,7 +289,7 @@ def test_verify_relaxation_zero_violations_linear():
     for fam in (gc.MIN_RESIDUAL, gc.STEEPEST_DESCENT, gc.MIN_CO_ERROR):
         trace, cert, bounds = certified_run(p, fam)
         assert cert.feasible, fam
-        report = gc.verify_relaxation(trace, cert, bounds, tol=1e-9)
+        report = gc.verify_relaxation(trace, cert, bounds)
         assert report.ok
         assert report.checked_steps == trace.n_steps
 
@@ -311,7 +311,7 @@ def test_verify_relaxation_flags_understated_mu():
     cert = gc.certify(bad, 1.0, a)
     assert cert.feasible  # feasible w.r.t. the (wrong) bounds
     trace = gc.solve(p, gc.MethodSpec(gc.MIN_RESIDUAL), EUC, STOP, cert, bad)
-    report = gc.verify_relaxation(trace, cert, bad, tol=1e-9)
+    report = gc.verify_relaxation(trace, cert, bad)
     assert not report.ok
     assert any(v.kind == "residual" for v in report.violations)
 

@@ -122,13 +122,13 @@ def test_corrupted_jacobian_fails_with_witness():
 
 
 def test_newton_oracle_quad2d():
-    x = gc.newton_solve(gc.quad2d(), res_tol=1e-13)
+    x = gc.newton_solve(gc.quad2d())
     np.testing.assert_allclose(x, [0.0, 0.0], atol=1e-12)
 
 
 def test_newton_oracle_linear_one_shot():
     p = gc.linear_spd(1, 4, 3, b=[1.0, 2.0, 3.0])
-    x = gc.newton_solve(p, res_tol=1e-13)
+    x = gc.newton_solve(p)
     np.testing.assert_allclose(x, p.known_solution, atol=1e-12)
 
 
@@ -138,7 +138,7 @@ def test_chandrasekhar_converges_and_matches_newton():
                      gc.StopRule(res_tol=1e-10, max_iter=200))
     assert trace.termination == "converged"
     assert trace.n_steps < 200
-    x_star = gc.newton_solve(p, res_tol=1e-13)
+    x_star = gc.newton_solve(p)
     assert np.linalg.norm(trace.final.x - x_star) <= 1e-8
     # physically sensible: H >= 1 and increasing in the angular variable
     assert np.all(x_star >= 1.0 - 1e-12)

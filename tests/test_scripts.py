@@ -72,3 +72,38 @@ def test_fixed_clock_digest_fields_lists_every_numeric_leaf(tmp_path):
     paths = {tuple(line.split(" ")[1:3]) for line in fields}
     assert {("certify", "certificate.r"), ("solve", "trace.res_norm[0]"),
             ("solve", "exit_status")} <= paths
+
+
+def test_fields_moved_names_each_moved_field_and_each_one_sided_line(tmp_path):
+    parent = tmp_path / "parent.txt"
+    change = tmp_path / "change.txt"
+    parent.write_text("\n".join([
+        "a.json estimate estimates.nu_tilde.value 0.5",
+        "a.json estimate apriori_bounds[0].bound 1.0",
+        "a.json estimate apriori_bounds[1].bound 2.0",
+        "a.json estimate exit 0",
+        "b.json estimate apriori_bounds[0].bound 4.0",
+        "b.json solve trace.res_norm[0] 0.001",
+        "b.json solve exit 0"]) + "\n")
+    change.write_text("\n".join([
+        "a.json estimate estimates.nu_tilde.value 0.5",
+        "a.json estimate apriori_bounds[0].bound 1.0000000000000002",
+        "a.json estimate apriori_bounds[1].bound 2.0",
+        "a.json estimate exit 0",
+        "b.json estimate apriori_bounds[0].bound 3.0",
+        "b.json solve trace.res_norm[0] 0.001",
+        "b.json solve trace.res_norm[1] 0.0001",
+        "b.json solve exit 1"]) + "\n")
+
+    def fields_moved(a, b):
+        return subprocess.run([sys.executable, str(ROOT / "scripts" / "fields_moved.py"),
+                               str(a), str(b)],
+                              capture_output=True, text=True, check=True).stdout.splitlines()
+
+    assert fields_moved(parent, change) == [
+        "2 of 5 numeric values moved",
+        "estimate apriori_bounds[].bound: 2 of 3 moved, largest relative 0.25 (4.0 -> 3.0)",
+        "only in parent: b.json solve exit 0",
+        "only in change: b.json solve trace.res_norm[1] 0.0001",
+        "only in change: b.json solve exit 1"]
+    assert fields_moved(change, change) == ["0 of 6 numeric values moved"]

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import gradcert as gc
 from gradcert.errors import ArgumentError
 from gradcert.spaces import (_AXIOM_BLOCK, _pnorm, _sample_blocks, _structured_pairs,
-                             duality_rows, semiscalar_rows)
+                             norm_duality_rows, semiscalar_rows)
 
 P_VALUES = [2.0, 2.5, 3.0, 4.0, 7.0]
 
@@ -171,7 +171,7 @@ def test_semiscalar_rows_with_shared_duality_parts(space):
     rng = np.random.default_rng(5)
     X = rng.standard_normal((6, 4)) * 10.0 ** rng.uniform(-3, 3, (6, 1))
     X[2] = 0.0
-    parts = duality_rows(space, X)
+    parts = norm_duality_rows(space, X)[1]
     for Y in rng.standard_normal((3, 6, 4)):
         got = semiscalar_rows(space, X, Y, parts)
         assert got[2] == 0.0
@@ -256,21 +256,38 @@ def test_verify_axioms_rejects_empty():
 # (dim 4 has 12 structured rows), and several blocks
 @pytest.mark.parametrize("dim, n_rand", [(2, 0), (3, 5), (4, _AXIOM_BLOCK - 12),
                                          (4, 2 * _AXIOM_BLOCK + 5)])
-def test_sample_blocks_match_full_size_draws(dim, n_rand):
-    # reference: every stream drawn whole, in order, from one generator
+def test_sample_blocks_hold_the_structured_then_the_drawn_rows(dim, n_rand):
     xs_s, ys_s = _structured_pairs(dim)
-    ref = np.random.default_rng(9)
-    scale = 10.0 ** ref.uniform(-2, 2, size=(n_rand, 1))
-    X = np.vstack([xs_s, ref.standard_normal((n_rand, dim)) * scale])
-    Y = np.vstack([ys_s, ref.standard_normal((n_rand, dim)) * scale])
-    n = len(X)
-    want = (X, Y, np.roll(Y, 1, axis=0), ref.uniform(-3.0, 3.0, size=n),
-            ref.uniform(-2.0, 2.0, size=n), ref.uniform(-2.0, 2.0, size=n))
+    blocks = list(_sample_blocks(np.random.default_rng(9), xs_s, ys_s, n_rand))
+    for X, Y, Y2, lam, a1, a2 in blocks:
+        assert 1 <= len(X) <= _AXIOM_BLOCK
+        assert X.shape == Y.shape == Y2.shape and len(lam) == len(a1) == len(a2) == len(X)
+        assert np.array_equal(Y2, np.roll(Y, 1, axis=0))  # rolled within the block
+        assert np.abs(lam).max() <= 3.0 and max(np.abs(a1).max(), np.abs(a2).max()) <= 2.0
+    # the blocks are full but the last, and concatenate to the structured
+    # rows followed by exactly n_rand drawn rows
+    assert all(len(b[0]) == _AXIOM_BLOCK for b in blocks[:-1])
+    X, Y = (np.concatenate([b[i] for b in blocks]) for i in (0, 1))
+    k = len(xs_s)
+    assert X.shape == Y.shape == (k + n_rand, dim)
+    assert np.array_equal(X[:k], xs_s) and np.array_equal(Y[:k], ys_s)
+    assert np.isfinite(X[k:]).all() and np.isfinite(Y[k:]).all()
+    assert len(np.unique(X[k:], axis=0)) == n_rand  # drawn, not repeated
+    # the same seed gives the same blocks
+    again = list(_sample_blocks(np.random.default_rng(9), xs_s, ys_s, n_rand))
+    assert len(again) == len(blocks)
+    for b, c in zip(blocks, again):
+        assert all(np.array_equal(u, v) for u, v in zip(b, c))
 
-    rng = np.random.default_rng(9)
-    blocks = list(_sample_blocks(rng, xs_s, ys_s, n_rand))
-    got = [np.concatenate(parts) for parts in zip(*blocks)]
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
-    # the generator is left where the full-size draws leave it
-    assert rng.bit_generator.state == ref.bit_generator.state
+
+@pytest.mark.parametrize("space", [gc.euclidean(), gc.sequence_p(2.5), gc.sequence_p(3),
+                                   gc.sequence_p(4), gc.sequence_p(6)],
+                         ids=["euclidean", "p2.5", "p3", "p4", "p6"])
+@pytest.mark.parametrize("n_samples", [1, 100, 3000])
+@pytest.mark.parametrize("seed", [0, 3, 21, 1401])
+def test_verify_axioms_passes_at_sigma_and_fails_at_an_understated_sigma(space, n_samples,
+                                                                          seed):
+    assert gc.verify_space_axioms(space, n_samples=n_samples, seed=seed).passed
+    bad = gc.verify_space_axioms(space, n_samples=n_samples, seed=seed, sigma=0.9 * space.sigma)
+    assert not bad.passed
+    assert bad.checks["quadratic_inequality"].violations > 0
