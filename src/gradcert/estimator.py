@@ -448,7 +448,9 @@ def sample_estimates(problem, method: MethodSpec, space: SpaceGeometry,
                 lam, lam_xh = float(values[i]), (x, H0[i])
 
         fx = np.asarray(problem.f(x), dtype=float)
-        if np.isfinite(fx).all() and (nf := norm(space, fx)) > 0.0:
+        with np.errstate(over="ignore"):  # an overflow is the error raised below
+            nf = norm(space, fx) if np.isfinite(fx).all() else 0.0
+        if nf > 0.0:
             if nf == math.inf:  # finite entries whose norm overflows
                 raise ArgumentError(f"the residual norm at sampled ball point {k} overflowed")
             F = (fx / nf)[None, :]  # unit: ||f(x)|| times an image norm may overflow

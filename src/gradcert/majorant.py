@@ -13,12 +13,13 @@ majorizes the one-step residual-norm transition.  Its iterates, its
 smallest positive fixed point, and the series ``w = sum of the iterates``
 turn per-step contraction into total-displacement and error bounds.  A
 run from initial residual norm ``a`` is certified at radius r when
-``lam(r) * theta(r) * w_sigma(r, a) <= r``.
+``lam(r) * theta(r) * w_sigma(r, a) <= r``; ``certify`` finds the least
+such r by iterating the left side from r = 0.
 
 ``RelaxationMap`` holds d_sigma at one radius.  Its fixed point is in
-closed form for Lipschitz and Holder moduli, and its series value is a
-rigorous upper bound on w (exactly ``phi / (1 - mu)`` when omega = 0), so
-a certificate never rests on a sum that falls short of the series.
+closed form for every modulus, and its series value is a rigorous upper
+bound on w (exactly ``phi / (1 - mu)`` when omega = 0), so a certificate
+never rests on a sum that falls short of the series.
 
 ``sigma`` is the quadratic-inequality constant of the ambient space
 (1 in the Euclidean case, p - 1 for l_p).
@@ -27,7 +28,7 @@ a certificate never rests on a sum that falls short of the series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
@@ -37,9 +38,8 @@ from .errors import ArgumentError, AssumptionError, DivergenceError
 
 _SERIES_RTOL = 1e-12
 _SERIES_CAP = 1_000_000
-_ROOT_ATOL = 1e-12
 _VALIDATE_GRID = 33  # r-grid points of the monotonicity check
-_CERTIFY_GRID = 128  # r-grid points of the radius scan
+_CERTIFY_STEPS = 10_000  # iterates of the radius map before R decides
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +298,9 @@ class RelaxationMap:
         it when mu(r) < 1, so mu >= 1 raises AssumptionError.  A linear map
         has none.  For a Lipschitz or Holder modulus, omega(r, t) = L t^alpha,
         dividing phi = mu phi + sigma L (lt phi)^(1+alpha) / (1+alpha) by phi
-        gives the root in closed form; a tabulated modulus is scanned.
+        gives the root in closed form.  d - id is convex, 0 at 0 and of slope
+        mu - 1 < 0 there, so it has at most one positive root, which for a
+        tabulated modulus solves the quadratic of one segment.
         """
         if self.mu >= 1.0:
             raise AssumptionError(
@@ -307,35 +309,26 @@ class RelaxationMap:
             return None
         om = self.omega
         if isinstance(om, TabulatedModulus):
-            return self._scan_fixed_point()
-        a = om.alpha
-        ps = ((1.0 - self.mu) * (1.0 + a)
-              / (self.sigma * om.constant(self.r) * self.lt ** (1.0 + a))) ** (1.0 / a)
-        return ps if math.isfinite(ps) else None
-
-    def _scan_fixed_point(self) -> float | None:
-        """Scan a geometric grid for a sign change of d - id, then bisect to 1e-12."""
-        phi_max = 10.0 * max(self.bounds.R, self.bounds.R / self.lt)
-        lo_end = phi_max * 1e-18
-        for _ in range(8):
-            grid = np.geomspace(lo_end, phi_max, 2048)
-            idx = np.flatnonzero(np.asarray(self(grid)) - grid >= 0.0)
-            if len(idx) > 0:
-                break
-            phi_max *= 64.0  # root may lie beyond the scanned range; widen and retry
+            # d - id = A u^2 + B u + C, A >= 0 >= C, in u = lt*phi - t_i on the segment
+            # before the first node where d - id >= 0, or past the last node
+            k = (self.mu - 1.0) / self.lt  # the slope of -id in t = lt*phi
+            h = self.sigma * om._cum + k * om.ts  # d - id at the nodes
+            ahead = np.flatnonzero(h[1:] >= 0.0)
+            i = int(ahead[0]) if len(ahead) else len(om.ts) - 1
+            A = 0.5 * self.sigma * float(om._slope[i])
+            B = self.sigma * float(om.ws[i]) + k
+            C = float(h[i])
+            sq = math.sqrt(B * B - 4.0 * A * C)
+            if B < 0.0:
+                u = (sq - B) / (2.0 * A) if A > 0.0 else math.inf
+            else:  # without the cancellation of -B + sq
+                u = -2.0 * C / (B + sq) if B + sq > 0.0 else math.inf
+            ps = (float(om.ts[i]) + u) / self.lt
         else:
-            return None
-        i = int(idx[0])
-        lo, hi = (grid[i] * 1e-6, grid[i]) if i == 0 else (grid[i - 1], grid[i])
-        for _ in range(256):
-            if hi - lo <= _ROOT_ATOL:
-                break
-            mid = 0.5 * (lo + hi)
-            if float(np.asarray(self(mid))) - mid >= 0.0:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
+            a = om.alpha
+            ps = ((1.0 - self.mu) * (1.0 + a)
+                  / (self.sigma * om.constant(self.r) * self.lt ** (1.0 + a))) ** (1.0 / a)
+        return ps if math.isfinite(ps) else None
 
     def sum(self, phi: float) -> float:
         """w_sigma(r, phi): an upper bound on the sum of all iterates starting at phi.
@@ -404,8 +397,8 @@ class MajorantCertificate:
     ``feasible`` means lam(r)*theta(r)*w_sigma(r, a) <= r <= R, which
     guarantees existence of a solution in the ball of radius r, convergence
     of the iteration, and validity of the error bounds.  When no radius
-    works the certificate records diagnostics at a fallback radius; the
-    a posteriori map may still be evaluated there as a best-effort bound.
+    works the certificate records diagnostics at R; the a posteriori map
+    may still be evaluated there as a best-effort bound.
     ``relaxation`` is the relaxation map at r that the bounds below reuse;
     it is not part of the report.
     """
@@ -432,7 +425,8 @@ class MajorantCertificate:
 
 
 def _certificate_at(bounds: BoundData, sigma: float, a: float, r: float,
-                    feasible: bool, diagnostics: str = "") -> MajorantCertificate:
+                    diagnostics: str = "") -> MajorantCertificate:
+    """The certificate at r, feasible if its condition holds; w = inf if the map or series fails."""
     rmap = None
     phi_star = None
     w = math.inf
@@ -447,64 +441,45 @@ def _certificate_at(bounds: BoundData, sigma: float, a: float, r: float,
         w = rmap.sum(a)
     except (AssumptionError, DivergenceError) as exc:
         diagnostics = diagnostics or str(exc)
-    cond = lt * w if np.isfinite(w) else math.inf
+    cond = float(lt * w) if np.isfinite(w) else math.inf
     return MajorantCertificate(
         r=r, a=a, sigma=sigma, phi_star=phi_star, w_of_a=w,
-        condition_value=cond, feasible=feasible, velo_bound=velo,
+        condition_value=cond, feasible=cond <= r, velo_bound=velo,
         linear_rate=mu, diagnostics=diagnostics, relaxation=rmap)
 
 
 def certify(bounds: BoundData, sigma: float, a: float) -> MajorantCertificate:
-    """Search for the smallest radius whose majorant condition holds.
+    """The certificate at the least radius r with g(r) = lam*theta*w_sigma(r, a) <= r.
 
-    Scans an r-grid on (0, R] up to the first feasible radius, refines the
-    bracket below it by bisection, and evaluates the certificate there.
-    Infeasibility is a result, not an error: the returned certificate then
-    carries ``feasible=False`` and diagnostics at the fallback radius R.
+    lam, theta, mu and omega are nondecreasing in r (``BoundData.validate``),
+    so g is too, and its iterates from r = 0 rise but never pass a feasible
+    r' (r <= r' gives g(r) <= g(r') <= r').  So the first iterate with
+    g(r) <= r is the least feasible radius, exactly.  An iterate with
+    g(r) > R, or where the map or its series fails, proves that none up to
+    R works.  After ``_CERTIFY_STEPS`` iterates R decides: a g nearly linear
+    with slope near 1 below its fixed point creeps that slowly, and is then
+    certified at R, soundly but not at the least radius.  Infeasibility is
+    a result, not an error: the certificate is then evaluated at R.
     """
     if not (a > 0.0 and np.isfinite(a)):
         raise ArgumentError("initial residual norm a must be positive")
     bounds.validate(sigma)
     R = bounds.R
-
-    def excess(r: float) -> float:
-        try:
-            rmap = RelaxationMap(bounds, sigma, r)
-            return rmap.lt * rmap.sum(a) - r
-        except (AssumptionError, DivergenceError):
-            return math.inf
-
-    grid = np.linspace(R / _CERTIFY_GRID, R, _CERTIFY_GRID)
-    vals = []
-    for r in grid:
-        vals.append(excess(r))
-        if vals[-1] <= 0.0:
-            break
-    hit = len(vals) - 1 if vals[-1] <= 0.0 else None
-    if hit is None:
-        finite = [(v, r) for v, r in zip(vals, grid) if np.isfinite(v)]
-        if np.isfinite(vals[-1]):
-            r_diag, gap = R, vals[-1]
-        elif finite:
-            gap, r_diag = min(finite)
-        else:
-            r_diag, gap = R, math.inf
-        return _certificate_at(
-            bounds, sigma, a, r_diag, feasible=False,
-            diagnostics=f"no feasible radius in (0, {R:g}]; "
-                        f"smallest condition excess {gap:.6g} at r={r_diag:.6g}")
-    lo = grid[hit - 1] if hit > 0 else grid[0] * 1e-6
-    hi = grid[hit]
-    if hit > 0 or excess(lo) > 0.0:
-        for _ in range(200):
-            if hi - lo <= max(_ROOT_ATOL, 1e-15 * R):
-                break
-            mid = 0.5 * (lo + hi)
-            if excess(mid) <= 0.0:
-                hi = mid
-            else:
-                lo = mid
-    return _certificate_at(bounds, sigma, a, hi, feasible=True)
+    r = 0.0
+    for k in range(_CERTIFY_STEPS):
+        cert = _certificate_at(bounds, sigma, a, r)
+        if cert.feasible:
+            return cert
+        if not cert.condition_value <= R:
+            return _certificate_at(bounds, sigma, a, R, (
+                f"no feasible radius in [0, {R:g}]: at iterate {k}, r={r:.6g}, "
+                + (cert.diagnostics or f"the condition value {cert.condition_value!r} exceeds R")))
+        r = cert.condition_value
+    cert = _certificate_at(bounds, sigma, a, R)
+    return replace(cert, diagnostics=(
+        f"the least radius not reached in {_CERTIFY_STEPS} iterates (reached r={r:.6g}); "
+        + ("certified at R, which is not the least radius" if cert.feasible else "R fails: "
+           + (cert.diagnostics or f"the condition value {cert.condition_value!r} exceeds R"))))
 
 
 # kept as the span target "majorant.apriori" of bench/tracer.py

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 import gradcert as gc
-from gradcert import cli
+from gradcert import cli, majorant
 from gradcert.errors import ArgumentError, AssumptionError, DivergenceError
 
 
@@ -49,6 +49,8 @@ def d_ref(phi, mu=0.5, lt=1.0, L=1.0, sigma=1.0):
 # summation gives 0.4606664756...; the functional equation and the upper
 # bound phi^2/(phi - d) = 0.5 both confirm it.
 W_CASE = 0.46066647562736907
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_oracle_reproduces_frozen_value():
@@ -315,6 +317,82 @@ def test_certify_rejects_nonpositive_a():
         gc.certify(geometric_case(), 1.0, 0.0)
 
 
+def _linear_case(lam):
+    # w = a/(1 - mu) = 1 at a = 1, so the condition value is lam(r)
+    return gc.BoundData(lam=lam, theta=1.0, omega=gc.LipschitzModulus(0.0), R=1.0, mu=0.0)
+
+
+def test_certify_finds_a_narrow_feasible_window():
+    # g(r) = lam(r) is feasible only on about [0.501, 0.5233]
+    b = _linear_case(lambda r: 0.501 + 1000.0 * max(0.0, r - 0.501) ** 2)
+    cert = gc.certify(b, 1.0, 1.0)
+    assert cert.feasible
+    assert cert.r == 0.501
+    assert cert.diagnostics == ""
+
+
+def test_certify_infeasible_at_the_iterate_cap():
+    # g(r) = r + 1e-6 > r everywhere; its iterates creep by 1e-6
+    cert = gc.certify(_linear_case(lambda r: 1e-6 + r), 1.0, 1.0)
+    assert not cert.feasible
+    assert cert.r == 1.0
+    assert cert.condition_value > 1.0
+    assert f"not reached in {majorant._CERTIFY_STEPS} iterates" in cert.diagnostics
+    assert "R fails" in cert.diagnostics
+
+
+def test_certify_at_R_at_the_iterate_cap():
+    # the least radius 0.1 is a fixed point of slope 1 - 1e-7, out of the cap's reach
+    cert = gc.certify(_linear_case(lambda r: 1e-8 + (1.0 - 1e-7) * r), 1.0, 1.0)
+    assert cert.feasible
+    assert cert.r == 1.0
+    assert cert.condition_value <= 1.0
+    assert f"not reached in {majorant._CERTIFY_STEPS} iterates" in cert.diagnostics
+    assert "not the least radius" in cert.diagnostics
+
+
+def _condition_holds(bounds, sigma, a, r):
+    try:
+        rmap = gc.RelaxationMap(bounds, sigma, r)
+        return rmap.lt * rmap.sum(a) <= r
+    except (AssumptionError, DivergenceError):
+        return False
+
+
+def _least_radius_cases():
+    for c in (0.05, 0.1, 0.2, 0.3):
+        p = gc.scalar_quad(c=c)
+        for fam in gc.HILBERT_FAMILIES:
+            yield f"scalar_quad-{c}-{fam}", p, gc.euclidean(), gc.MethodSpec(fam), None
+    for fam in gc.HILBERT_FAMILIES:
+        yield f"quad2d-{fam}", gc.quad2d(), gc.euclidean(), gc.MethodSpec(fam), None
+        p = gc.linear_spd(1, 4, 6, rotate=True, seed=3)
+        yield f"linear_spd-{fam}", p, gc.euclidean(), gc.MethodSpec(fam), None
+    for config in sorted(CONFIGS.glob("*.json")):
+        rc = cli._resolved(cli.load_config(str(config)), None)
+        if rc["problem"]["name"]:
+            problem, space, method = cli._build(rc)
+            yield config.stem, problem, space, method, rc
+
+
+@pytest.mark.parametrize("case", list(_least_radius_cases()), ids=lambda case: case[0])
+def test_certify_returns_the_least_feasible_radius(case):
+    _, problem, space, method, rc = case
+    if rc is None:
+        bounds = problem.certified_bounds.bound_data(method, space.sigma)
+    else:
+        bounds = cli._resolve_bounds(rc, problem, method, space)[0]
+    a = gc.norm(space, problem.f(problem.x0))
+    cert = gc.certify(bounds, space.sigma, a)
+    if cert.feasible:
+        assert cert.diagnostics == ""
+        assert _condition_holds(bounds, space.sigma, a, cert.r)
+        assert not _condition_holds(bounds, space.sigma, a, cert.r * (1.0 - 1e-9))
+    else:
+        assert cert.r == bounds.R
+        assert not _condition_holds(bounds, space.sigma, a, bounds.R)
+
+
 def test_apriori_bound_examples():
     b = geometric_case(L=0.0)
     cert = gc.certify(b, 1.0, 0.2)
@@ -456,7 +534,33 @@ def test_closed_form_fixed_point_matches_tabulated_scan(L, mu, lt, sigma):
     # the same modulus, tabulated far enough out to contain lt * phi*
     T = 4.0 * lt * ps
     scanned = _map(gc.TabulatedModulus([0.0, T], [0.0, L * T]), mu, lt, sigma).phi_star
-    assert scanned == pytest.approx(ps, rel=1e-9, abs=1e-11)
+    assert scanned == pytest.approx(ps, rel=1e-12, abs=0.0)
+
+
+TABLE = ([0.0, 0.5, 1.5, 3.0], [0.0, 0.4, 0.9, 2.0])
+
+
+@pytest.mark.parametrize("table, mu, lt, sigma, segment", [
+    (TABLE, 0.9, 1.2, 1.5, 0),
+    (TABLE, 0.6, 1.2, 1.5, 1),
+    (TABLE, 0.3, 0.6, 1.5, 2),
+    (TABLE, 0.3, 0.3, 1.5, 3),  # past the last node, where omega is constant
+    (([0.0, 0.2, 0.6, 0.8], [0.0, 1.0, 1.0, 8.0]), 0.3, 1.0, 1.0, 1),  # a flat segment
+])
+def test_tabulated_fixed_point_matches_brentq(table, mu, lt, sigma, segment):
+    d = _map(gc.TabulatedModulus(*table), mu, lt, sigma)
+    ps = d.phi_star
+    assert np.searchsorted(table[0], lt * ps) - 1 == segment
+    # d - id is negative just above 0 and positive far out
+    want = brentq(lambda phi: d(phi) - phi, 1e-9, 1e3, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+    assert ps == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert d(ps) == pytest.approx(ps, rel=1e-12, abs=0.0)
+
+
+def test_tabulated_fixed_point_none_when_the_last_slope_cannot_catch_up():
+    # past the last node d - id has slope sigma * 0.1 * lt + mu - 1 < 0
+    d = _map(gc.TabulatedModulus([0.0, 1.0], [0.0, 0.1]), 0.5, 1.0, 1.0)
+    assert d.phi_star is None
 
 
 def _count_integral_calls(monkeypatch, omega):
@@ -487,8 +591,36 @@ def test_certify_closed_form_spd_is_cheap_and_sound(monkeypatch):
 
 
 def test_certify_quad2d_config_integral_calls(monkeypatch, tmp_path):
-    config = Path(__file__).resolve().parents[1] / "configs" / "quad2d_certify.json"
     calls = _count_integral_calls(monkeypatch, gc.LipschitzModulus(0.2))
     monkeypatch.chdir(tmp_path)
-    assert cli.main(["certify", "--config", str(config), "--fixed-clock"]) == 3
-    assert 0 < calls[0] <= 2500
+    assert cli.main(["certify", "--config", str(CONFIGS / "quad2d_certify.json"),
+                     "--fixed-clock"]) == 3
+    assert 0 < calls[0] <= 64  # 60: maps at r = 0, at its image past R, and at R
+
+
+def _count_maps(monkeypatch):
+    calls = [0]
+    init = gc.RelaxationMap.__init__
+
+    def counted(self, *args):
+        calls[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(gc.RelaxationMap, "__init__", counted)
+    return calls
+
+
+def test_certify_builds_two_maps_for_constant_bounds(monkeypatch):
+    # the map at r = 0 gives the least radius, and the map there certifies it
+    p = gc.linear_spd(1, 25, 10, rotate=True, seed=15)
+    certified = p.certified_bounds.bound_data(gc.MethodSpec(gc.MIN_RESIDUAL), 1.0)
+    h = gc.chandrasekhar(0.5, 20)
+    estimated = gc.estimated_bound_data(h, gc.MethodSpec(gc.STEEPEST_DESCENT), gc.euclidean(),
+                                        gc.SamplePlan(seed=7, n_points=8, n_dirs=16))
+    calls = _count_maps(monkeypatch)
+    for problem, bounds in ((p, certified), (h, estimated)):
+        calls[0] = 0
+        cert = gc.certify(bounds, 1.0, gc.norm(gc.euclidean(), problem.f(problem.x0)))
+        assert cert.feasible
+        assert calls[0] == 2
+        assert gc.apriori_bounds(cert, bounds, 3) and calls[0] == 2  # the certificate's own map
