@@ -97,16 +97,12 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _resolved(cfg: dict, seed_override: int | None) -> dict:
+def _resolved(cfg: dict) -> dict:
     """Fill defaults so the embedded config fully describes the run."""
     out = {section: {key: cfg.get(section, {}).get(key, copy.copy(default))
                      for key, default in table.items()}
            for section, table in _DEFAULTS.items()}
     out["bounds"].update({k: cfg.get("bounds", {}).get(k) for k in ("explicit", "plan")})
-    if seed_override is not None:
-        out["run"]["seed"] = int(seed_override)
-        if out["bounds"]["plan"] is not None:
-            out["bounds"]["plan"] = dict(out["bounds"]["plan"], seed=int(seed_override))
     for key in ("seed", "samples", "max_iter"):  # int() would run 1.9 as 1 and echo 1.9
         if type(out["run"][key]) is not int:
             raise ConfigError(f"config error at run: {key} must be an integer, "
@@ -433,8 +429,6 @@ def main(argv=None) -> int:
     parser.add_argument("command",
                         choices=[*_COMMANDS, "list-problems"])
     parser.add_argument("--config", help="path to the JSON run configuration")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override run.seed and bounds.plan.seed")
     parser.add_argument("--fixed-clock", action="store_true",
                         help="omit timestamps so reports are byte-reproducible")
     args = parser.parse_args(argv)
@@ -445,7 +439,7 @@ def main(argv=None) -> int:
         print("config error: --config is required for this command", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        rc = _resolved(load_config(args.config), args.seed)
+        rc = _resolved(load_config(args.config))
         return _COMMANDS[args.command](rc, args.fixed_clock)
     except (ConfigError, FileNotFoundError) as exc:
         print(str(exc), file=sys.stderr)

@@ -544,16 +544,14 @@ def estimate_theta(problem, method: MethodSpec, space: SpaceGeometry,
 
 
 def estimated_bound_data(problem, method: MethodSpec, space: SpaceGeometry,
-                         plan: SamplePlan, r: float | None = None) -> BoundData:
-    """Assemble constant-in-r BoundData from sampled estimates at radius r.
+                         plan: SamplePlan) -> BoundData:
+    """Assemble constant-in-r BoundData from sampled estimates at the radius R.
 
     Constants sampled at the full radius are valid (if conservative) bound
     functions for every smaller radius.  Raises AssumptionError when the
     sampled acuteness is nonpositive or the step-size bound is unbounded.
     """
-    if r is None:
-        r = problem.R
-    est = sample_estimates(problem, method, space, r, plan)
+    est = sample_estimates(problem, method, space, problem.R, plan)
     nu = est.nu_tilde
     if nu <= 0.0:
         raise AssumptionError(
@@ -568,4 +566,4 @@ def estimated_bound_data(problem, method: MethodSpec, space: SpaceGeometry,
         vartheta=method.effective_vartheta,
         note=("sampled estimates at r={:.6g}: nu is an upper estimate of the "
               "infimum; lam, theta and the Lipschitz constant are lower "
-              "estimates of the suprema").format(r))
+              "estimates of the suprema").format(problem.R))

@@ -436,7 +436,7 @@ def _certificate_at(bounds: BoundData, sigma: float, a: float, r: float,
     try:
         rmap = RelaxationMap(bounds, sigma, r)
         lt, mu = rmap.lt, rmap.mu
-        velo = float(rmap(a)) / a
+        velo = float(rmap(a)) / a if a > 0.0 else mu  # d(a)/a tends to mu as a -> 0
         phi_star = rmap.phi_star
         w = rmap.sum(a)
     except (AssumptionError, DivergenceError) as exc:
@@ -459,10 +459,12 @@ def certify(bounds: BoundData, sigma: float, a: float) -> MajorantCertificate:
     R works.  After ``_CERTIFY_STEPS`` iterates R decides: a g nearly linear
     with slope near 1 below its fixed point creeps that slowly, and is then
     certified at R, soundly but not at the least radius.  Infeasibility is
-    a result, not an error: the certificate is then evaluated at R.
+    a result, not an error: the certificate is then evaluated at R.  A start
+    that already solves the equation (a = 0) is certified at r = 0, with
+    w = 0 and velo_bound = mu(0).
     """
-    if not (a > 0.0 and np.isfinite(a)):
-        raise ArgumentError("initial residual norm a must be positive")
+    if not (a >= 0.0 and np.isfinite(a)):
+        raise ArgumentError("initial residual norm a must be finite and nonnegative")
     bounds.validate(sigma)
     R = bounds.R
     r = 0.0

@@ -2,9 +2,10 @@
 
 Each problem ships the ingredients the rest of the package consumes: the
 map f, its Jacobian, a center x0 and working-ball radius R, and (where a
-closed-form derivation exists) certified bound functions per step family.
-The derivations are recorded in each problem's bounds note so the
-certificates are auditable rather than magic.
+closed-form derivation exists) certified bounds as data, one set per
+operator T = I or f'^T, from which ``CertifiedBounds.bound_data`` picks a
+step family's.  The derivations are recorded in each problem's bounds
+note so the certificates are auditable rather than magic.
 
 Every ``jacobian`` takes one point, shape (n,), and returns J(x), shape
 (n, n).  Every shipped problem also supplies the two operator actions
@@ -18,8 +19,8 @@ serves where a matrix norm is needed and in the solver's step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,14 +31,49 @@ from .methods import MethodSpec
 _SQRT2 = math.sqrt(2.0)
 
 
+class OperatorBounds(NamedTuple):
+    """The closed-form bounds of one operator T, each a constant or a function of r.
+
+    ``lam_min`` bounds the minimising step scalar, ``lam_relaxed`` the
+    relaxed one at vartheta = 1.
+    """
+
+    nu: float | Callable[[float], float]
+    theta: float | Callable[[float], float]
+    lam_min: float | Callable[[float], float]
+    lam_relaxed: float | Callable[[float], float]
+
+
 @dataclass(frozen=True)
 class CertifiedBounds:
-    """Closed-form bound functions per step family; each ``BoundData.note`` holds the derivation."""
+    """Closed-form bounds per operator T, in Euclidean geometry; ``note`` holds the derivation.
 
-    resolver: Callable[[MethodSpec, float], BoundData]
+    ``t_identity`` serves the families with T = I, ``t_adjoint`` those with T = f'^T.
+    """
+
+    t_identity: OperatorBounds
+    t_adjoint: OperatorBounds
+    R: float
+    omega: LipschitzModulus
+    name: str
+    note: str
 
     def bound_data(self, method: MethodSpec, sigma: float = 1.0) -> BoundData:
-        return self.resolver(method, sigma)
+        """The bounds of ``method``'s step family: its operator's, with lam_relaxed / vartheta."""
+        if sigma != 1.0:
+            raise ArgumentError(
+                f"certified bounds for {self.name!r} are derived for Euclidean geometry "
+                f"(sigma=1); got sigma={sigma}. Use estimated bounds for p > 2.")
+        op = self.t_adjoint if method.uses_adjoint else self.t_identity
+        th = method.effective_vartheta
+        if method.mu_family == "min":
+            lam = op.lam_min
+        elif callable(op.lam_relaxed):
+            lam = lambda r, _lam=op.lam_relaxed: _lam(r) / th
+        else:
+            lam = op.lam_relaxed / th
+        return BoundData(lam=lam, theta=op.theta, omega=self.omega, R=self.R, nu=op.nu,
+                         step_family=method.mu_family, vartheta=th, note=self.note)
 
 
 @dataclass(frozen=True)
@@ -55,13 +91,6 @@ class Problem:
     vjp: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
-def _require_euclidean_sigma(sigma: float, name: str) -> None:
-    if sigma != 1.0:
-        raise ArgumentError(
-            f"certified bounds for {name!r} are derived for Euclidean geometry "
-            f"(sigma=1); got sigma={sigma}. Use estimated bounds for p > 2.")
-
-
 def _antieigenvalues(m: float, M: float) -> tuple[float, float]:
     """nu of an SPD operator with spectrum in [m, M], and of its square (adjoint families)."""
     return 2.0 * math.sqrt(m * M) / (m + M), 2.0 * m * M / (m * m + M * M)
@@ -72,27 +101,6 @@ def _affine(A: np.ndarray) -> dict:
     return dict(jacobian=lambda x, _A=A: _A.copy(),
                 jvp=lambda X, H, _A=A: H @ _A.T,
                 vjp=lambda X, H, _A=A: H @ _A)
-
-
-def _linear_bound_resolver(m: float, M: float, R: float, name: str):
-    nu_id, nu_adj = _antieigenvalues(m, M)
-
-    def resolve(method: MethodSpec, sigma: float) -> BoundData:
-        _require_euclidean_sigma(sigma, name)
-        th = method.effective_vartheta
-        if method.uses_adjoint:
-            nu, theta, lam_base = nu_adj, M, 1.0 / (m * m)
-        else:
-            nu, theta, lam_base = nu_id, 1.0, 1.0 / m
-        lam = lam_base if method.mu_family == "min" else lam_base / th
-        return BoundData(
-            lam=lam, theta=theta, omega=LipschitzModulus(0.0), R=R,
-            nu=nu, step_family=method.mu_family, vartheta=th,
-            note=(f"exact constants for a symmetric positive definite operator "
-                  f"with spectrum in [{m:g}, {M:g}]: nu is the antieigenvalue "
-                  f"2*sqrt(mM)/(m+M) (squared spectrum for adjoint-based "
-                  f"families), lam the extreme-eigenvalue step bound, omega = 0"))
-    return resolve
 
 
 def _linear_ball_radius(m: float, M: float, a: float, dist_to_solution: float) -> float:
@@ -137,42 +145,34 @@ def linear_spd(m: float = 1.0, M: float = 4.0, dim: int = 2, b=None, x0=None,
     a = float(np.linalg.norm(A @ x0 - b))
     if R is None:
         R = _linear_ball_radius(m, M, max(a, 1e-12), float(np.linalg.norm(x0 - x_star)))
-    name = "linear_spd"
+    nu_id, nu_adj = _antieigenvalues(m, M)
     return Problem(
-        name=name, dim=dim,
+        name="linear_spd", dim=dim,
         f=lambda x, _A=A, _b=b: _A @ x - _b,
         **_affine(A),
         x0=x0, R=float(R), known_solution=x_star,
-        certified_bounds=CertifiedBounds(_linear_bound_resolver(m, M, float(R), name)),
+        certified_bounds=CertifiedBounds(
+            t_identity=OperatorBounds(nu_id, 1.0, 1.0 / m, 1.0 / m),
+            t_adjoint=OperatorBounds(nu_adj, M, 1.0 / (m * m), 1.0 / (m * m)),
+            R=float(R), omega=LipschitzModulus(0.0), name="linear_spd",
+            note=(f"exact constants for a symmetric positive definite operator "
+                  f"with spectrum in [{m:g}, {M:g}]: nu is the antieigenvalue "
+                  f"2*sqrt(mM)/(m+M) (squared spectrum for adjoint-based "
+                  f"families), lam the extreme-eigenvalue step bound, omega = 0")),
         params={"m": m, "M": M, "dim": dim, "rotate": rotate, "seed": seed})
 
 
 def identity(dim: int = 3, b=None, R: float | None = None) -> Problem:
-    """f(x) = x - b: every step family solves it in one exact step."""
+    """f(x) = x - b: ``linear_spd`` with spectrum {1}, solved in one exact step by every family."""
     if dim < 1:
         raise ArgumentError("dim must be >= 1")
     b = np.arange(1.0, dim + 1.0) if b is None else np.asarray(b, dtype=float)
     if b.shape != (dim,):
         raise ArgumentError("b must have length dim")
-    if R is None:
-        R = 2.0 * float(np.linalg.norm(b)) + 1.0
-    name = "identity"
-
-    def resolve(method: MethodSpec, sigma: float) -> BoundData:
-        _require_euclidean_sigma(sigma, name)
-        th = method.effective_vartheta
-        lam = 1.0 if method.mu_family == "min" else 1.0 / th
-        return BoundData(lam=lam, theta=1.0, omega=LipschitzModulus(0.0), R=R,
-                         nu=1.0, step_family=method.mu_family, vartheta=th,
-                         note="identity linearization: nu = 1, omega = 0")
-
-    return Problem(
-        name=name, dim=dim,
-        f=lambda x, _b=b: x - _b,
-        **_affine(np.eye(dim)),
-        x0=np.zeros(dim), R=float(R), known_solution=b.copy(),
-        certified_bounds=CertifiedBounds(resolve),
-        params={"dim": dim})
+    R = 2.0 * float(np.linalg.norm(b)) + 1.0 if R is None else R
+    p = linear_spd(1.0, 1.0, dim, b=b, x0=np.zeros(dim), R=R)
+    return replace(p, name="identity", params={"dim": dim},
+                   certified_bounds=replace(p.certified_bounds, name="identity"))
 
 
 def quad2d() -> Problem:
@@ -185,7 +185,6 @@ def quad2d() -> Problem:
     """
     x0 = np.array([0.5, 0.5])
     R = 1.0
-    name = "quad2d"
 
     def sym_bound(r):  # bound on the symmetric-part norm over the r-ball
         return 0.1 * (1.0 + _SQRT2 * min(r, R))
@@ -193,45 +192,37 @@ def quad2d() -> Problem:
     def skew_bound(r):
         return 0.1 * _SQRT2 * min(r, R)
 
-    def resolve(method: MethodSpec, sigma: float) -> BoundData:
-        _require_euclidean_sigma(sigma, name)
-        th = method.effective_vartheta
+    def smin(r):
+        return 1.0 - sym_bound(r) - skew_bound(r)
 
-        def smin(r):
-            return 1.0 - sym_bound(r) - skew_bound(r)
+    def smax(r):
+        return 1.0 + sym_bound(r) + skew_bound(r)
 
-        def smax(r):
-            return 1.0 + sym_bound(r) + skew_bound(r)
+    def nu_id(r):
+        s, k = sym_bound(r), skew_bound(r)
+        return 1.0 / (1.0 / math.sqrt(1.0 - s * s) + k / (1.0 - s))
 
-        if method.uses_adjoint:
-            nu = lambda r: (smin(r) / smax(r)) ** 2
-            theta = smax
-            lam = (lambda r: 1.0 / smin(r) ** 2) if method.mu_family == "min" \
-                else (lambda r: 1.0 / (th * smin(r) ** 2))
-        else:
-            def nu(r):
-                s, k = sym_bound(r), skew_bound(r)
-                return 1.0 / (1.0 / math.sqrt(1.0 - s * s) + k / (1.0 - s))
-            theta = 1.0
-            lam = (lambda r: 1.0 / smin(r)) if method.mu_family == "min" \
-                else (lambda r: 1.0 / (th * (1.0 - sym_bound(r))))
-        return BoundData(
-            lam=lam, theta=theta, omega=LipschitzModulus(0.2), R=R,
-            nu=nu, step_family=method.mu_family, vartheta=th,
-            note=("perturbation bounds for I minus a zero-diagonal matrix: "
-                  "symmetric part <= 0.1*(1+sqrt(2)r), skew part <= "
-                  "0.1*sqrt(2)r over the r-ball; Jacobian Lipschitz "
-                  "constant 0.2 (sharp along coordinate axes)"))
+    def lam_adj(r):
+        return 1.0 / smin(r) ** 2
 
     # J h = h - 0.2 (x1 h1, x0 h0) and J^T h = h - 0.2 (x0 h1, x1 h0)
     return Problem(
-        name=name, dim=2,
+        name="quad2d", dim=2,
         f=lambda x: np.array([x[0] - 0.1 * x[1] ** 2, x[1] - 0.1 * x[0] ** 2]),
         jacobian=lambda x: np.array([[1.0, -0.2 * x[1]], [-0.2 * x[0], 1.0]]),
         jvp=lambda X, H: H - 0.2 * X[..., ::-1] * H[:, ::-1],
         vjp=lambda X, H: H - 0.2 * X * H[:, ::-1],
         x0=x0, R=R, known_solution=np.zeros(2),
-        certified_bounds=CertifiedBounds(resolve),
+        certified_bounds=CertifiedBounds(
+            t_identity=OperatorBounds(nu_id, 1.0, lambda r: 1.0 / smin(r),
+                                      lambda r: 1.0 / (1.0 - sym_bound(r))),
+            t_adjoint=OperatorBounds(lambda r: (smin(r) / smax(r)) ** 2, smax,
+                                     lam_adj, lam_adj),
+            R=R, omega=LipschitzModulus(0.2), name="quad2d",
+            note=("perturbation bounds for I minus a zero-diagonal matrix: "
+                  "symmetric part <= 0.1*(1+sqrt(2)r), skew part <= "
+                  "0.1*sqrt(2)r over the r-ball; Jacobian Lipschitz "
+                  "constant 0.2 (sharp along coordinate axes)")),
         params={})
 
 
@@ -243,7 +234,6 @@ def scalar_quad(c: float = 0.1, x0: float = 0.0, R: float = 5.0) -> Problem:
     if disc <= 0.0:
         raise ArgumentError("no real solution for this c")
     x_star = (1.0 - math.sqrt(disc)) / 0.1
-    name = "scalar_quad"
 
     def fprime_min(r):
         return 1.0 - 0.1 * (abs(x0) + min(r, R))
@@ -251,28 +241,26 @@ def scalar_quad(c: float = 0.1, x0: float = 0.0, R: float = 5.0) -> Problem:
     def fprime_max(r):
         return 1.0 + 0.1 * (abs(x0) + min(r, R))
 
-    def resolve(method: MethodSpec, sigma: float) -> BoundData:
-        _require_euclidean_sigma(sigma, name)
-        th = method.effective_vartheta
-        power = 2 if method.uses_adjoint else 1
-        theta = fprime_max if method.uses_adjoint else 1.0
-        scale = 1.0 if method.mu_family == "min" else 1.0 / th
-        return BoundData(
-            lam=lambda r: scale / fprime_min(r) ** power,
-            theta=theta, omega=LipschitzModulus(0.1), R=R,
-            nu=1.0, step_family=method.mu_family, vartheta=th,
-            note=("scalar positive derivative: nu = 1 exactly, step bound "
-                  "1/min f' over the ball, |f''| = 0.1 everywhere"))
+    def lam_id(r):
+        return 1.0 / fprime_min(r)
+
+    def lam_adj(r):
+        return 1.0 / fprime_min(r) ** 2
 
     return Problem(
-        name=name, dim=1,
+        name="scalar_quad", dim=1,
         f=lambda x, _c=c: np.array([x[0] - 0.05 * x[0] ** 2 - _c]),
         jacobian=lambda x: np.array([[1.0 - 0.1 * x[0]]]),
         jvp=lambda X, H: (1.0 - 0.1 * X) * H,
         vjp=lambda X, H: (1.0 - 0.1 * X) * H,
         x0=np.array([float(x0)]), R=float(R),
         known_solution=np.array([x_star]),
-        certified_bounds=CertifiedBounds(resolve),
+        certified_bounds=CertifiedBounds(
+            t_identity=OperatorBounds(1.0, 1.0, lam_id, lam_id),
+            t_adjoint=OperatorBounds(1.0, fprime_max, lam_adj, lam_adj),
+            R=R, omega=LipschitzModulus(0.1), name="scalar_quad",
+            note=("scalar positive derivative: nu = 1 exactly, step bound "
+                  "1/min f' over the ball, |f''| = 0.1 everywhere")),
         params={"c": c})
 
 

@@ -65,6 +65,38 @@ def test_solve_certified_linear(tmp_path):
                              "dist_from_center", "bound_dn", "apost_bound"]
 
 
+def test_solve_residual_below_the_rounding_floor_is_unresolved(tmp_path):
+    # scalar_quad under min_residual: after step 2 the residual (1.4e-17)
+    # exceeds its allowed 8.3e-18, but both lie below the rounding error of
+    # evaluating f, so the step is unresolved, not a violation
+    cfg = solve_config(tmp_path, problem={"name": "scalar_quad", "params": {"c": 0.1}})
+    assert cli.main(["solve", "--config", write_config(tmp_path, **cfg), "--fixed-clock"]) == 0
+    rep = read_report(tmp_path)
+    verification = rep["verification"]
+    assert verification["violations"] == []
+    assert verification["unresolved_steps"] == [2]
+    assert verification["checked_steps"] == rep["trace"]["n_steps"] - 1
+
+
+@pytest.mark.parametrize("mode", ["certified", "estimated"])
+@pytest.mark.parametrize("command", ["certify", "solve"])
+def test_a_start_that_solves_the_equation_is_certified_at_r_zero(tmp_path, command, mode):
+    cfg = solve_config(tmp_path, problem={"name": "identity", "params": {"dim": 2, "b": [0, 0]}},
+                       bounds={"mode": mode, "plan": {"n_points": 8, "n_dirs": 16}})
+    assert cli.main([command, "--config", write_config(tmp_path, **cfg), "--fixed-clock"]) == 0
+    rep = read_report(tmp_path)
+    cert = rep["certificate"]
+    assert cert["feasible"] is True
+    assert (cert["a"], cert["r"], cert["w_of_a"], cert["condition_value"]) == (0.0, 0.0, 0.0, 0.0)
+    assert cert["velo_bound"] == cert["linear_rate"]
+    if command == "solve":
+        assert rep["trace"]["n_steps"] == 0 and rep["trace"]["termination"] == "converged"
+        assert rep["verification"] == {"checked_steps": 0, "unresolved_steps": [],
+                                       "violations": []}
+    else:
+        assert {row["bound"] for row in rep["apriori_bounds"]} == {0.0}
+
+
 def test_solve_understated_mu_exits_2_with_violations(tmp_path):
     cfg = solve_config(
         tmp_path,
@@ -196,18 +228,6 @@ def test_reports_are_byte_reproducible(tmp_path):
     assert (tmp_path / "trace.csv").read_bytes() == tr1
 
 
-def test_seed_flag_overrides_config(tmp_path):
-    cfg = solve_config(tmp_path,
-                       bounds={"mode": "estimated",
-                               "plan": {"seed": 5, "n_points": 8, "n_dirs": 64,
-                                        "refine": False}})
-    rc = write_config(tmp_path, **cfg)
-    assert cli.main(["estimate", "--config", rc, "--fixed-clock", "--seed", "77"]) == 0
-    rep = read_report(tmp_path)
-    assert rep["config"]["run"]["seed"] == 77
-    assert rep["config"]["bounds"]["plan"]["seed"] == 77
-
-
 def test_unknown_key_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"problem": {"name": "identity"}, "bogus": 1}')
@@ -325,16 +345,14 @@ def test_explicit_step_family_key_rejected(tmp_path, capsys):
     assert read_report(tmp_path)["certificate"]["linear_rate"] == pytest.approx(0.75)
 
 
-@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("via", ["config"])  # seeds are set in the config only
 @pytest.mark.parametrize("command", ["estimate", "solve", "verify-space"])
 def test_negative_seed_is_config_error(tmp_path, capsys, command, via):
     cfg = solve_config(tmp_path, bounds={"mode": "estimated",
                                          "plan": {"n_points": 8, "n_dirs": 64,
                                                   "refine": False}})
-    seed_flag = ["--seed", "-1"] if via == "flag" else []
-    if via == "config":
-        cfg["run"]["seed"] = -1
-    assert cli.main([command, "--config", write_config(tmp_path, **cfg), *seed_flag]) == 1
+    cfg["run"]["seed"] = -1
+    assert cli.main([command, "--config", write_config(tmp_path, **cfg)]) == 1
     assert capsys.readouterr().err.startswith("config error at ")
 
 

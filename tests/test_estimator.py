@@ -228,7 +228,7 @@ def test_failed_assumptions_report_acuteness_first():
     est = gc.sample_estimates(p, SD, EUC, 1.0, plan)
     assert est.nu_tilde <= 0.0 and math.isinf(est.lambda_tilde)
     with pytest.raises(AssumptionError, match="acuteness"):
-        gc.estimated_bound_data(p, SD, EUC, plan, r=1.0)
+        gc.estimated_bound_data(p, SD, EUC, plan)
 
 
 def test_estimator_jacobian_work_is_counted(counting):

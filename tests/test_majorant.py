@@ -313,8 +313,22 @@ def test_certify_infeasible():
 
 
 def test_certify_rejects_nonpositive_a():
-    with pytest.raises(ArgumentError):
-        gc.certify(geometric_case(), 1.0, 0.0)
+    # a = 0, a start that already solves the equation, is certified (below);
+    # a negative or non-finite residual norm is refused
+    for a in (-1e-300, -0.2, math.inf, math.nan):
+        with pytest.raises(ArgumentError, match="finite and nonnegative"):
+            gc.certify(geometric_case(), 1.0, a)
+
+
+def test_certify_a_start_that_solves_the_equation_at_r_zero():
+    # mu grows with r; velo_bound is mu(0), the limit of d(a)/a as a -> 0
+    b = gc.BoundData(lam=2.0, theta=1.0, omega=gc.LipschitzModulus(1.0), R=1.0,
+                     mu=lambda r: 0.3 + 0.1 * r)
+    cert = gc.certify(b, 1.0, 0.0)
+    assert cert.feasible and cert.diagnostics == ""
+    assert (cert.r, cert.w_of_a, cert.condition_value) == (0.0, 0.0, 0.0)
+    assert cert.velo_bound == cert.linear_rate == 0.3
+    assert gc.apriori_bounds(cert, b, 3) == [0.0] * 4
 
 
 def _linear_case(lam):
@@ -369,7 +383,7 @@ def _least_radius_cases():
         p = gc.linear_spd(1, 4, 6, rotate=True, seed=3)
         yield f"linear_spd-{fam}", p, gc.euclidean(), gc.MethodSpec(fam), None
     for config in sorted(CONFIGS.glob("*.json")):
-        rc = cli._resolved(cli.load_config(str(config)), None)
+        rc = cli._resolved(cli.load_config(str(config)))
         if rc["problem"]["name"]:
             problem, space, method = cli._build(rc)
             yield config.stem, problem, space, method, rc

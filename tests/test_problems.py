@@ -242,3 +242,117 @@ def test_known_solutions_satisfy_equation():
             continue
         scale = max(1.0, float(np.linalg.norm(p.f(p.x0))))
         assert np.linalg.norm(p.f(p.known_solution)) <= 1e-12 * scale
+
+
+# The four per-problem bound resolvers that CertifiedBounds.bound_data
+# replaced, each restating the family rule, kept here as its reference.
+
+def _ref_linear(m, M, R):
+    nu_id = 2.0 * math.sqrt(m * M) / (m + M)
+    nu_adj = 2.0 * m * M / (m * m + M * M)
+
+    def resolve(method):
+        th = method.effective_vartheta
+        if method.uses_adjoint:
+            nu, theta, lam_base = nu_adj, M, 1.0 / (m * m)
+        else:
+            nu, theta, lam_base = nu_id, 1.0, 1.0 / m
+        lam = lam_base if method.mu_family == "min" else lam_base / th
+        return gc.BoundData(lam=lam, theta=theta, omega=gc.LipschitzModulus(0.0), R=R,
+                            nu=nu, step_family=method.mu_family, vartheta=th)
+    return resolve
+
+
+def _ref_identity(R):
+    def resolve(method):
+        th = method.effective_vartheta
+        lam = 1.0 if method.mu_family == "min" else 1.0 / th
+        return gc.BoundData(lam=lam, theta=1.0, omega=gc.LipschitzModulus(0.0), R=R,
+                            nu=1.0, step_family=method.mu_family, vartheta=th)
+    return resolve
+
+
+def _ref_quad2d(method):
+    R = 1.0
+    th = method.effective_vartheta
+    sym_bound = lambda r: 0.1 * (1.0 + math.sqrt(2.0) * min(r, R))
+    skew_bound = lambda r: 0.1 * math.sqrt(2.0) * min(r, R)
+    smin = lambda r: 1.0 - sym_bound(r) - skew_bound(r)
+    smax = lambda r: 1.0 + sym_bound(r) + skew_bound(r)
+    if method.uses_adjoint:
+        nu = lambda r: (smin(r) / smax(r)) ** 2
+        theta = smax
+        lam = (lambda r: 1.0 / smin(r) ** 2) if method.mu_family == "min" \
+            else (lambda r: 1.0 / (th * smin(r) ** 2))
+    else:
+        def nu(r):
+            s, k = sym_bound(r), skew_bound(r)
+            return 1.0 / (1.0 / math.sqrt(1.0 - s * s) + k / (1.0 - s))
+        theta = 1.0
+        lam = (lambda r: 1.0 / smin(r)) if method.mu_family == "min" \
+            else (lambda r: 1.0 / (th * (1.0 - sym_bound(r))))
+    return gc.BoundData(lam=lam, theta=theta, omega=gc.LipschitzModulus(0.2), R=R,
+                        nu=nu, step_family=method.mu_family, vartheta=th)
+
+
+def _ref_scalar_quad(x0, R):
+    fprime_min = lambda r: 1.0 - 0.1 * (abs(x0) + min(r, R))
+    fprime_max = lambda r: 1.0 + 0.1 * (abs(x0) + min(r, R))
+
+    def resolve(method):
+        th = method.effective_vartheta
+        power = 2 if method.uses_adjoint else 1
+        theta = fprime_max if method.uses_adjoint else 1.0
+        scale = 1.0 if method.mu_family == "min" else 1.0 / th
+        return gc.BoundData(lam=lambda r: scale / fprime_min(r) ** power,
+                            theta=theta, omega=gc.LipschitzModulus(0.1), R=R,
+                            nu=1.0, step_family=method.mu_family, vartheta=th)
+    return resolve
+
+
+def _family_rule_cases():
+    for m in (1, 2, 3, 0.3):
+        p = gc.linear_spd(m, 4.0, 3)
+        yield f"linear_spd-m{m}", p, _ref_linear(m, 4.0, p.R), False
+    p = gc.identity(3)
+    yield "identity", p, _ref_identity(p.R), False
+    yield "quad2d", gc.quad2d(), _ref_quad2d, True
+    for c, x0 in ((0.1, 0.0), (0.25, 1.5)):
+        yield f"scalar_quad-c{c}-x{x0}", gc.scalar_quad(c, x0), _ref_scalar_quad(x0, 5.0), True
+
+
+@pytest.mark.parametrize("case", list(_family_rule_cases()), ids=lambda case: case[0])
+@pytest.mark.parametrize("vartheta", [1.0, 0.8, 1.25, 2.0])
+@pytest.mark.parametrize("family", gc.HILBERT_FAMILIES)
+def test_family_rule_matches_the_per_problem_resolvers(case, vartheta, family):
+    # equal bit for bit, except the relaxed lam of the r-dependent bounds:
+    # (1/x)/vartheta in place of 1/(vartheta x), 2 ulp apart at most, and
+    # equal where vartheta is a power of 2
+    _, p, reference, r_dependent = case
+    method = gc.MethodSpec(family, vartheta)
+    got = p.certified_bounds.bound_data(method, 1.0)
+    want = reference(method)
+    assert (got.R, got.step_family, got.vartheta) == (want.R, want.step_family, want.vartheta)
+    for r in (0.0, 0.05, 0.3 * p.R, 0.5 * p.R, p.R):
+        assert got.omega.constant(r) == want.omega.constant(r)
+        assert got.nu_at(r) == want.nu_at(r)
+        assert got.theta_at(r) == want.theta_at(r)
+        lam, lam_ref = got.lam_at(r), want.lam_at(r)
+        if r_dependent and method.effective_vartheta not in (1.0, 2.0):
+            assert abs(lam - lam_ref) <= 2.0 * math.ulp(lam_ref)
+        else:
+            assert lam == lam_ref
+
+
+def test_identity_is_the_unit_spectrum_linear_spd():
+    b = [0.5, -2.0, 3.0]
+    p = gc.identity(3, b=b)
+    assert (p.name, p.params, p.R) == ("identity", {"dim": 3}, 2.0 * np.linalg.norm(b) + 1.0)
+    np.testing.assert_array_equal(p.x0, np.zeros(3))
+    np.testing.assert_array_equal(p.known_solution, b)
+    for x in (np.zeros(3), np.array([1.0, -4.0, 0.25])):
+        np.testing.assert_array_equal(p.f(x), x - np.asarray(b))
+        np.testing.assert_array_equal(p.jacobian(x), np.eye(3))
+    # the bounds keep the problem's own name in the error they raise
+    with pytest.raises(ArgumentError, match="certified bounds for 'identity'"):
+        p.certified_bounds.bound_data(gc.MethodSpec(gc.BANACH_MIN_RESIDUAL), 3.0)
