@@ -103,10 +103,14 @@ def _resolved(cfg: dict) -> dict:
                      for key, default in table.items()}
            for section, table in _DEFAULTS.items()}
     out["bounds"].update({k: cfg.get("bounds", {}).get(k) for k in ("explicit", "plan")})
+    run = out["run"]
     for key in ("seed", "samples", "max_iter"):  # int() would run 1.9 as 1 and echo 1.9
-        if type(out["run"][key]) is not int:
-            raise ConfigError(f"config error at run: {key} must be an integer, "
-                              f"got {out['run'][key]!r}")
+        if type(run[key]) is not int:
+            raise ConfigError(f"config error at run: {key} must be an integer, got {run[key]!r}")
+    if type(run["res_tol"]) not in (int, float):  # float() would run true as 1.0
+        raise ConfigError(f"config error at run: res_tol must be a number, got {run['res_tol']!r}")
+    if run["max_iter"] < 1:
+        raise ConfigError(f"config error at run: max_iter must be >= 1, got {run['max_iter']}")
     return out
 
 
@@ -277,8 +281,9 @@ def _certify(problem, space, bounds) -> majorant.MajorantCertificate:
 def cmd_solve(rc: dict, fixed_clock: bool) -> int:
     problem, space, method = _build(rc)
     bounds, bounds_note = _resolve_bounds(rc, problem, method, space)
-    stop = methods.StopRule(res_tol=float(rc["run"]["res_tol"]),
-                            max_iter=rc["run"]["max_iter"])
+    with _at("run"):
+        stop = methods.StopRule(res_tol=float(rc["run"]["res_tol"]),
+                                max_iter=rc["run"]["max_iter"])
 
     cert = None if bounds is None else _certify(problem, space, bounds)
     attach = cert is not None and cert.feasible
@@ -441,7 +446,7 @@ def main(argv=None) -> int:
     try:
         rc = _resolved(load_config(args.config))
         return _COMMANDS[args.command](rc, args.fixed_clock)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:  # OSError: a config path that cannot be read
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
     except GradcertError as exc:

@@ -33,11 +33,10 @@ whose norm overflows.  The ``Estimates`` record holds the five values as
 Python floats; the ``estimate_*`` functions read that record.
 
 The polish is a coordinate descent that accepts the first improving
-candidate in sweep order.  A direction sweep images every remaining
-candidate at the current point in one block, and a point sweep the next
-``_POINT_BLOCK`` candidate points, each against the current direction.
-The candidates after an accepted one are rebuilt from the new direction
-or point and scored again.
+candidate in sweep order.  Directions and points follow one block rule:
+each images call scores the next ``_POLISH_BLOCK`` candidates, and the
+candidates after an accepted one are rebuilt from the new direction or
+point and scored again.
 """
 
 from __future__ import annotations
@@ -238,7 +237,7 @@ def _project_rows(space, center, r, X):
     return X
 
 
-_POINT_BLOCK = 32  # point candidates per images call
+_POLISH_BLOCK = 32  # candidates per images call
 _POLISH_SWEEPS = 40  # most sweeps of one polish
 
 
@@ -249,68 +248,50 @@ def _polish(objective, images, space, center, r, x, h, path=None):
     ``images(x, H)`` at the point x, or ``images(X, H)`` for a stack X of
     one point per row; ``objective.minimize`` says which way is better.
     No Jacobian is formed.  A sweep tries the 2n direction candidates
-    ``h +- step e_j`` and then the point candidates ``x +- step r e_j``,
-    accepting each one that improves.  Returns the best value; each
-    accepted (x, h) is appended to ``path`` if one is given.  A non-finite
-    candidate image raises ArgumentError.
+    ``h +- step e_j``, normalized, and then the point candidates
+    ``x +- step r e_j``, projected onto the ball, accepting each one that
+    improves.  Returns the best value; each accepted (x, h) is appended to
+    ``path`` if one is given.  A non-finite candidate image raises
+    ArgumentError.
 
-    Each sweep scores its candidates in blocks and accepts the first
-    improving one in sweep order; the candidates after it are built again
-    from the new h or x and scored in a new block.  The direction sweep
-    keeps x, so its block is every remaining candidate (none is zero, as h
-    has norm 1 and a step at most 1/4).  The point sweep keeps h, so it
-    takes the direction terms once, and its block is the next
-    ``_POINT_BLOCK`` candidate points.
+    Both halves of a sweep follow one block rule: an images call scores the
+    next ``_POLISH_BLOCK`` candidates, built from the current (x, h), and
+    the first improving one in sweep order is accepted; the candidates after
+    it are built again from the new h or x.  No direction candidate is zero,
+    as h has norm 1 and a step at most 1/4.
     """
     better = lt if objective.minimize else gt
 
-    def score(X, H, terms):
+    def score(X, H):
         W = images(X, H)
         if not np.isfinite(W).all():
             raise ArgumentError("the operator image of a polish candidate has non-finite entries")
-        return objective.score(H, W, terms)
+        return objective.score(H, W, norm_duality_rows(space, H))
 
     n = len(h)
     rows, cols = np.arange(2 * n), np.arange(2 * n) // 2  # candidate k moves coordinate k // 2
     signs = np.tile([1.0, -1.0], n)
-    H = h[None, :]
-    best = score(x, H, norm_duality_rows(space, H))[0]
+    best = score(x, h[None, :])[0]
     step = 0.25
     for _ in range(_POLISH_SWEEPS):
         improved = False
-        moves = step * signs
-        k = 0
-        while k < 2 * n:
-            Hc = np.repeat(h[None, :], 2 * n - k, axis=0)
-            Hc[rows[:2 * n - k], cols[k:]] += moves[k:]
-            Hc /= norm_rows(space, Hc)[:, None]
-            v = score(x, Hc, norm_duality_rows(space, Hc))
-            i = int(np.argmax(better(v, best)))  # the first improving candidate, if any
-            if not better(v[i], best):
-                break
-            best, h, improved = v[i], Hc[i], True
-            if path is not None:
-                path.append((x, h))
-            k += i + 1
-        if r > 0.0:
-            moves = (step * r) * signs
-            H = np.repeat(h[None, :], min(_POINT_BLOCK, 2 * n), axis=0)
-            terms = norm_duality_rows(space, H)
+        for moving_point in (False, True) if r > 0.0 else (False,):
+            moves = (step * r if moving_point else step) * signs
             k = 0
             while k < 2 * n:
-                m = min(_POINT_BLOCK, 2 * n - k)
-                if m < len(H):
-                    H = H[:m]
-                    terms = norm_duality_rows(space, H)
-                Xc = np.repeat(x[None, :], m, axis=0)
-                Xc[rows[:m], cols[k:k + m]] += moves[k:k + m]
-                Xc = _project_rows(space, center, r, Xc)
-                v = score(Xc, H, terms)
-                i = int(np.argmax(better(v, best)))
+                m = min(_POLISH_BLOCK, 2 * n - k)
+                C = np.repeat((x if moving_point else h)[None, :], m, axis=0)
+                C[rows[:m], cols[k:k + m]] += moves[k:k + m]
+                if moving_point:
+                    X, H = _project_rows(space, center, r, C), np.repeat(h[None, :], m, axis=0)
+                else:
+                    X, H = x, C / norm_rows(space, C)[:, None]
+                v = score(X, H)
+                i = int(np.argmax(better(v, best)))  # the first improving candidate, if any
                 if not better(v[i], best):
                     k += m
                     continue
-                best, x, improved = v[i], Xc[i], True
+                best, x, h, improved = v[i], X[i] if moving_point else x, H[i], True
                 if path is not None:
                     path.append((x, h))
                 k += i + 1

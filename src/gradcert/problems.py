@@ -90,6 +90,10 @@ class Problem:
     jvp: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     vjp: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
+    def __post_init__(self):
+        if not 0.0 < self.R < math.inf:
+            raise ArgumentError(f"problem radius R={self.R} must be positive and finite")
+
 
 def _antieigenvalues(m: float, M: float) -> tuple[float, float]:
     """nu of an SPD operator with spectrum in [m, M], and of its square (adjoint families)."""
@@ -270,6 +274,12 @@ def chandrasekhar(c: float = 0.5, n: int = 20, R: float = 2.0) -> Problem:
     f(H)_i = H_i - (1 - sum_j K_ij H_j)^(-1) with
     K_ij = (c/2) * w_j * mu_i / (mu_i + mu_j), mu_i the midpoint nodes.
     No closed-form bound functions are shipped; use estimated bounds.
+
+    ``R`` is the radius at n = 20, and the ball radius is R * sqrt(n / 20):
+    one radius in the weighted norm ||v|| / sqrt(n) at every n.  R and a
+    certificate's r stay unweighted (Euclidean in Euclidean space), and the
+    weight is the Euclidean one in every space, as the problem does not
+    know p: mesh independence in l_p is out of scope.
     """
     if not (0.0 < c < 1.0):
         raise ArgumentError("parameter c must lie in (0, 1)")
@@ -305,7 +315,7 @@ def chandrasekhar(c: float = 0.5, n: int = 20, R: float = 2.0) -> Problem:
 
     return Problem(
         name="chandrasekhar", dim=n, f=f, jacobian=jacobian, jvp=jvp, vjp=vjp,
-        x0=np.ones(n), R=float(R), known_solution=None,
+        x0=np.ones(n), R=float(R) * math.sqrt(n / 20), known_solution=None,
         certified_bounds=None, params={"c": c, "n": n})
 
 

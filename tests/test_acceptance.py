@@ -7,6 +7,7 @@ criteria state one.  Run with ``pytest tests/test_acceptance.py -v -s``.
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,6 +148,30 @@ def test_aposteriori_bound_quad2d_and_chandrasekhar():
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     print(f"ACCEPTANCE a posteriori bound: PASS ({checked} steps, {elapsed:.2f}s)")
+
+
+SHIPPED_ESTIMATED = (Path(__file__).resolve().parent.parent / "configs"
+                     / "chandrasekhar_estimated.json")
+
+
+@pytest.mark.parametrize("n", [20, 40, 80, 160])
+def test_chandrasekhar_certificate_is_mesh_independent(tmp_path, n):
+    # the shipped estimated run at n nodes: the ball radius 2 sqrt(n/20) is
+    # one radius in the weighted norm ||v|| / sqrt(n), and so is the
+    # certificate's r.  With a radius of 2 at every n, certify was infeasible
+    # from n = 80 on, and at n = 160 the solution lay outside the ball.
+    cfg = json.loads(SHIPPED_ESTIMATED.read_text())
+    cfg["problem"]["params"]["n"] = n
+    cfg["output"] = {"report_path": str(tmp_path / "report.json")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["solve", "--config", str(path), "--fixed-clock"]) == 0
+    rep = json.loads((tmp_path / "report.json").read_text())
+    assert rep["certificate"]["feasible"] is True
+    assert round(rep["certificate"]["r"] / math.sqrt(n), 2) == 0.24
+    assert abs(rep["trace"]["n_steps"] - 8) <= 1
+    assert rep["verification"]["violations"] == []
+    print(f"ACCEPTANCE mesh-independent certificate n={n}: PASS")
 
 
 def test_majorant_identities():

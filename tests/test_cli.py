@@ -303,6 +303,47 @@ def test_run_value_of_another_type_is_config_error(tmp_path, capsys, command, ke
         f"config error at run: {key} must be an integer, got {value!r}")
 
 
+@pytest.mark.parametrize("value", ["abc", None, True])
+def test_res_tol_that_is_not_a_number_is_config_error(tmp_path, capsys, value):
+    # float() would raise on "abc" and null outside the config check, and run
+    # true as 1.0
+    cfg = solve_config(tmp_path)
+    cfg["run"]["res_tol"] = value
+    assert cli.main(["solve", "--config", write_config(tmp_path, **cfg)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"config error at run: res_tol must be a number, got {value!r}")
+
+
+@pytest.mark.parametrize("command", ["solve", "certify"])
+def test_max_iter_below_one_is_config_error(tmp_path, capsys, command):
+    # certify sizes its a priori table by max_iter, and named no config path
+    cfg = solve_config(tmp_path)
+    cfg["run"]["max_iter"] = -3
+    assert cli.main([command, "--config", write_config(tmp_path, **cfg)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "config error at run: max_iter must be >= 1, got -3")
+
+
+def test_config_path_that_is_a_directory_is_config_error(tmp_path, capsys):
+    assert cli.main(["solve", "--config", str(tmp_path)]) == 1
+    assert "Is a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, name, R, mode", [
+    ("solve", "linear_spd", -1.0, "certified"),
+    ("solve", "chandrasekhar", -1.0, "estimated"),
+    ("estimate", "chandrasekhar", 0.0, "estimated")])
+def test_problem_radius_not_positive_is_config_error_at_problem(tmp_path, capsys, command,
+                                                                name, R, mode):
+    # it was blamed on the bounds, on the estimator's radius, or on the
+    # sample points a zero radius leaves
+    cfg = solve_config(tmp_path, problem={"name": name, "params": {"R": R}},
+                       bounds={"mode": mode, "plan": {"n_points": 4, "n_dirs": 8}})
+    assert cli.main([command, "--config", write_config(tmp_path, **cfg)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"config error at problem: problem radius R={R} must be positive and finite")
+
+
 def test_certified_bounds_missing_rejected(tmp_path):
     cfg = solve_config(tmp_path, problem={"name": "chandrasekhar",
                                           "params": {"c": 0.5, "n": 10}})

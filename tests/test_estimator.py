@@ -187,10 +187,10 @@ SHIPPED_PLAN = gc.SamplePlan(seed=7, n_points=64, n_dirs=128, refine=True)
      (0.6846325042023059, 0.3333333333333333, 0.6855328440985307, 1.0, 0.0)),
     (gc.linear_spd(1, 3, 3), gc.MethodSpec(gc.MIN_CO_ERROR), EUC,
      (0.600000000000001, 1.0, 0.6394463287868006, 3.0, 0.0)),
-    # the lp-geometry benchmark's estimator path: l_6, sigma = 5
+    # the lp-geometry benchmark's estimator path: l_6, sigma = 5, R = 2 sqrt(6/20)
     (gc.chandrasekhar(0.5, 6), gc.MethodSpec(gc.BANACH_MIN_RESIDUAL), gc.sequence_p(6),
-     (0.872120175842647, 0.29521077009361973, 0.9828548320392644, 1.0,
-      0.07523932577442469)),
+     (0.9182893962374559, 0.2634059541514126, 0.9892777577203403, 1.0,
+      0.074898878468006)),
 ], ids=["chandrasekhar20-sd", "spd3-lp4-banach-minres", "spd3-min-co-error",
         "chandrasekhar6-lp6-banach-minres"])
 def test_sample_estimates_values_pinned(problem, method, space, expected):
@@ -242,7 +242,7 @@ def test_estimator_jacobian_work_is_counted(counting):
     # forms none (it made 968 stacked calls of 4,843 Jacobians before it
     # read images); steepest descent takes no vjp
     sampling = (1 + 2 * n + 64) + 4 * n
-    assert work == {"jacobian": 2 * sampling, "jvp calls": 1105, "jvp rows": 48341}
+    assert work == {"jacobian": 2 * sampling, "jvp calls": 1151, "jvp rows": 47794}
     # without polishing: one Jacobian once per ball point (1 + 2n + 64) and
     # once per half- and quarter-radius axis point (4n); two jvp calls per
     # ball point, its n + 128 directions and its residual row
@@ -251,12 +251,28 @@ def test_estimator_jacobian_work_is_counted(counting):
     unpolished = dict(work)
     assert unpolished == {"jacobian": sampling, "jvp calls": 2 * (1 + 2 * n + 64),
                           "jvp rows": (1 + 2 * n + 64) * (n + 128 + 1)}
-    # each of the two polishes images one direction, then blocks of
-    # direction candidates and of at most 32 point candidates
+    # each of the two polishes images one direction, then blocks of at most
+    # 32 direction or point candidates
     work.clear()
     gc.sample_estimates(p, SD, EUC, p.R, SHIPPED_PLAN)
     work.subtract(unpolished)
-    assert +work == {"jvp calls": 685, "jvp rows": 17051}
+    assert +work == {"jvp calls": 731, "jvp rows": 16504}
+
+
+def test_no_polish_images_call_exceeds_the_block():
+    # directions and points follow one block rule: at n = 40 a sweep has 80
+    # candidates of each kind, and an images call takes at most 32 of them
+    p = gc.chandrasekhar(0.5, 40)
+    images, sizes = estimator._image_map(p, SD), []
+
+    def recorded(X, H):
+        sizes.append(len(H))
+        return images(X, H)
+
+    x0 = np.asarray(p.x0, dtype=float)
+    for objective in (estimator._AcuteRatio(EUC), estimator._StepRatio(EUC, SD)):
+        estimator._polish(objective, recorded, EUC, x0, p.R, x0, np.eye(40)[0])
+    assert max(sizes) == estimator._POLISH_BLOCK == 32
 
 
 def test_estimate_theta_rejects_radius_beyond_ball():
@@ -402,8 +418,8 @@ def test_matrix_norm_bound_is_an_upper_bound(shape, scale, seed, space):
 @pytest.mark.parametrize("space", [EUC, gc.sequence_p(3)], ids=["euclidean", "p3"])
 def test_omega_lipschitz_screening_keeps_the_exact_maximum(space):
     # every pair's quotient by a full SVD, no screening: the maximum must be
-    # the same bit for bit
-    p = gc.chandrasekhar(0.5, 8)
+    # the same bit for bit.  R = 3 puts the ball radius 3 sqrt(8/20) above r
+    p = gc.chandrasekhar(0.5, 8, R=3.0)
     plan = gc.SamplePlan(seed=21, n_points=32, n_dirs=4)
     r, center = 1.5, p.x0
     pts = estimator._ball_points(center, r, plan.n_points,

@@ -154,7 +154,7 @@ def _objectives(space, method):
     # rows and calls for the adjoint family; the one-candidate polish makes
     # 6404, 1924, 1924, 1924 and 844 Jacobian calls of one row each
     (case, rows, calls) for case, (rows, calls) in zip(POLISH_CASES, [
-        (33796, 1383), (6466, 720), (6339, 728), (6468, 748), (2062, 377)])],
+        (32811, 1470), (6527, 736), (6274, 708), (6297, 721), (2062, 377)])],
     ids=POLISH_IDS)
 def test_polish_equals_one_candidate_polish(case, rows, calls, counting):
     problem, family, space = case
