@@ -42,12 +42,12 @@ def show(problem, method, bounds, label):
           f"{'apriori bound':>13}")
     for s in trace.steps:
         err = float(np.linalg.norm(s.x - x_star))
-        apost = gc.aposteriori_bound(cert, bounds, s.res_norm)
-        apri = (gc.apriori_bound(cert, bounds, s.n) if cert.feasible else float("nan"))
+        apost = gc.aposteriori_bound(cert, s.res_norm)
+        apri = (gc.apriori_bound(cert, s.n) if cert.feasible else float("nan"))
         print(f"{s.n:>3d} {s.res_norm:>12.4e} {err:>12.4e} {apost:>12.4e} {apri:>13.4e}")
         assert err <= apost + 1e-8
     if attach:
-        report = gc.verify_relaxation(trace, cert, bounds)
+        report = gc.verify_relaxation(trace, cert)
         print(f"relaxation verification: "
               f"{'ok' if report.ok else f'{len(report.violations)} violations'}")
 

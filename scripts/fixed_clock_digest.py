@@ -5,7 +5,11 @@ Runs ``gradcert <command> --fixed-clock`` for each config under estimate,
 certify, solve and verify-space, using the ``src`` of the given checkout.
 Each run gets its own working directory inside a temporary directory, so
 relative output paths (and the config echoed into the report) are the
-same for every checkout.  Prints one line per report, trace and exit code:
+same for every checkout.  All runs share one child process, which puts the
+checkout's ``src`` on ``sys.path`` and calls ``gradcert.cli.main`` on each,
+capturing standard output; its exit codes are those of
+``python -m gradcert``: a ``SystemExit`` keeps its code, and an uncaught
+exception counts as 1.  Prints one line per report, trace and exit code:
 
     <config> <command> report|trace|exit <sha256 | absent | code>
 
@@ -91,28 +95,57 @@ def trace_lines(tag: str, data: bytes | None, fields: bool) -> list[str]:
     return lines
 
 
+# The child process: argv is (src, jobs.json, results.json).  Each job is a
+# (working directory, command) pair; each result its exit code and stdout.
+_CHILD = """
+import contextlib, io, json, os, sys, traceback
+src, jobs, results = sys.argv[1:]
+sys.path.insert(0, src)
+from gradcert import cli
+out = []
+for work, cmd in json.load(open(jobs)):
+    os.chdir(work)
+    stdout = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([cmd, "--config", "config.json", "--fixed-clock"])
+    except SystemExit as exc:
+        code = exc.code
+    except Exception:
+        traceback.print_exc()
+        code = 1
+    # as the interpreter exits: None is 0, and a code that is not an int is 1
+    code = 0 if code is None else code if isinstance(code, int) else 1
+    out.append((code, stdout.getvalue()))
+json.dump(out, open(results, "w"))
+"""
+
+
 def digest(checkout: Path, configs: list[Path], fields: bool = False) -> list[str]:
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
+        runs = []
         for k, cfg in enumerate(configs):
-            output = json.loads(cfg.read_text()).get("output") or {}
             for cmd in COMMANDS:
                 work = Path(tmp) / f"{k}-{cmd}"
                 work.mkdir()
                 shutil.copy(cfg, work / "config.json")
-                proc = subprocess.run(
-                    [sys.executable, "-m", "gradcert", cmd, "--config", "config.json",
-                     "--fixed-clock"],
-                    cwd=work, env=env, capture_output=True)
-                tag = f"{cfg.name} {cmd}"
-                report = work / (output.get("report_path") or "-")
-                lines += report_lines(
-                    tag, report.read_bytes() if report.is_file() else proc.stdout, fields)
-                trace = work / (output.get("trace_path") or "-")
-                lines += trace_lines(tag, trace.read_bytes() if trace.is_file() else None, fields)
-                lines.append(f"{tag} exit {proc.returncode}")
+                runs.append((cfg, cmd, work))
+        jobs, results = Path(tmp) / "jobs.json", Path(tmp) / "results.json"
+        jobs.write_text(json.dumps([(str(work), cmd) for _, cmd, work in runs]))
+        subprocess.run([sys.executable, "-c", _CHILD, str(checkout / "src"), str(jobs),
+                        str(results)], cwd=tmp, env=env, check=True)
+        for (cfg, cmd, work), (code, stdout) in zip(runs, json.loads(results.read_text())):
+            output = json.loads(cfg.read_text()).get("output") or {}
+            tag = f"{cfg.name} {cmd}"
+            report = work / (output.get("report_path") or "-")
+            lines += report_lines(
+                tag, report.read_bytes() if report.is_file() else stdout.encode(), fields)
+            trace = work / (output.get("trace_path") or "-")
+            lines += trace_lines(tag, trace.read_bytes() if trace.is_file() else None, fields)
+            lines.append(f"{tag} exit {code}")
     return lines
 
 

@@ -31,7 +31,7 @@ from .problems import (CertifiedBounds, JacobianReport, Problem,
                        chandrasekhar, identity, indefinite2d, linear_spd,
                        make_problem, newton_solve, problem_names, quad2d,
                        registry, scalar_quad, validate_jacobian)
-from .spaces import (SpaceAxiomReport, SpaceGeometry, duality_map, euclidean,
-                     norm, semiscalar, sequence_p, verify_space_axioms)
+from .spaces import (SpaceAxiomReport, SpaceGeometry, euclidean, norm,
+                     semiscalar, sequence_p, verify_space_axioms)
 
 __version__ = "0.1.0"

@@ -177,8 +177,7 @@ def _explicit_bounds(rc: dict, problem, method) -> majorant.BoundData:
         mu_nu = {k: float(given[k]) for k in ("mu", "nu") if k in given}
         return majorant.BoundData(
             lam=float(ex["lam"]), theta=float(ex["theta"]), omega=omega, R=float(ex["R"]),
-            step_family=method.mu_family, vartheta=method.effective_vartheta,
-            note="explicit constants from the run configuration", **mu_nu)
+            step_family=method.mu_family, vartheta=method.effective_vartheta, **mu_nu)
 
 
 def _resolve_bounds(rc, problem, method, space):
@@ -292,7 +291,7 @@ def cmd_solve(rc: dict, fixed_clock: bool) -> int:
                           bounds=bounds if attach else None)
     verification = None
     if attach:
-        verification = methods.verify_relaxation(trace, cert, bounds)
+        verification = methods.verify_relaxation(trace, cert)
 
     rates = None
     if problem.known_solution is not None and trace.n_steps >= 1:
@@ -334,7 +333,7 @@ def cmd_certify(rc: dict, fixed_clock: bool) -> int:
     if cert.feasible:
         n_table = min(rc["run"]["max_iter"], 25)
         apriori = [{"n": n, "bound": bound} for n, bound in
-                   enumerate(majorant.apriori_bounds(cert, bounds, n_table))]
+                   enumerate(majorant.apriori_bounds(cert, n_table))]
     status = EXIT_OK if cert.feasible else EXIT_NOT_CONVERGED
     _write_report({
         "command": "certify",
@@ -418,6 +417,7 @@ def cmd_list_problems() -> int:
             "R": p.R,
             "default_params": _jsonable(p.params),
             "has_certified_bounds": p.certified_bounds is not None,
+            "certified_bounds_note": getattr(p.certified_bounds, "note", None),
         })
     print(json.dumps(rows, indent=2, sort_keys=True))
     return EXIT_OK

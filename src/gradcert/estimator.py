@@ -541,10 +541,6 @@ def estimated_bound_data(problem, method: MethodSpec, space: SpaceGeometry,
     if not np.isfinite(est.lambda_tilde):
         raise AssumptionError("sampled step-size bound is unbounded")
     return BoundData(
-        lam=est.lambda_tilde, theta=est.theta,
-        omega=LipschitzModulus(est.lipschitz()), R=problem.R,
-        nu=min(nu, 1.0), step_family=method.mu_family,
-        vartheta=method.effective_vartheta,
-        note=("sampled estimates at r={:.6g}: nu is an upper estimate of the "
-              "infimum; lam, theta and the Lipschitz constant are lower "
-              "estimates of the suprema").format(problem.R))
+        lam=est.lambda_tilde, theta=est.theta, omega=LipschitzModulus(est.lipschitz()),
+        R=problem.R, nu=min(nu, 1.0), step_family=method.mu_family,
+        vartheta=method.effective_vartheta)

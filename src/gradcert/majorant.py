@@ -45,13 +45,17 @@ _CERTIFY_STEPS = 10_000  # iterates of the radius map before R decides
 # ---------------------------------------------------------------------------
 # moduli of continuity
 
+def _as_fn(v) -> Callable[[float], float]:
+    return v if callable(v) else (lambda r, _v=float(v): _v)
+
+
 class HolderModulus:
     """omega(r, t) = L(r) * t**alpha with 0 < alpha <= 1."""
 
     def __init__(self, L: float | Callable[[float], float], alpha: float):
         if not (0.0 < alpha <= 1.0):
             raise ArgumentError("Holder exponent must lie in (0, 1]")
-        self._L = L if callable(L) else (lambda r, _v=float(L): _v)
+        self._L = _as_fn(L)
         self.alpha = float(alpha)
 
     def constant(self, r: float) -> float:
@@ -165,10 +169,6 @@ def mu_altman_family(nu: float, vartheta: float, sigma: float) -> float:
 # ---------------------------------------------------------------------------
 # bound data
 
-def _as_fn(v) -> Callable[[float], float]:
-    return v if callable(v) else (lambda r, _v=float(v): _v)
-
-
 def _read(name: str, v, r: float) -> float:
     """The bound function ``v`` at r, checked to be finite and nonnegative."""
     v = float(_as_fn(v)(r))
@@ -197,7 +197,6 @@ class BoundData:
     nu: float | Callable[[float], float] | None = None
     step_family: str | None = None
     vartheta: float = 1.0
-    note: str = ""
 
     def __post_init__(self):
         if not (self.R > 0.0 and np.isfinite(self.R)):
@@ -399,8 +398,8 @@ class MajorantCertificate:
     of the iteration, and validity of the error bounds.  When no radius
     works the certificate records diagnostics at R; the a posteriori map
     may still be evaluated there as a best-effort bound.
-    ``relaxation`` is the relaxation map at r that the bounds below reuse;
-    it is not part of the report.
+    ``relaxation`` is the map at r that the solver, verifier and error bounds
+    read (None where it could not be built); it is not part of the report.
     """
 
     r: float
@@ -415,13 +414,11 @@ class MajorantCertificate:
     diagnostics: str = ""
     relaxation: RelaxationMap | None = field(default=None, repr=False, compare=False)
 
-    def relaxation_for(self, bounds: BoundData) -> RelaxationMap:
-        """The relaxation map of ``bounds`` at (r, sigma): the certificate's own if built from them."""
-        rmap = self.relaxation
-        if (rmap is None or rmap.bounds is not bounds or rmap.r != self.r
-                or rmap.sigma != self.sigma):
-            rmap = RelaxationMap(bounds, self.sigma, self.r)
-        return rmap
+    def relaxation_map(self) -> RelaxationMap:
+        """The certificate's own relaxation map; ArgumentError if it carries none."""
+        if self.relaxation is None:
+            raise ArgumentError("the certificate carries no relaxation map")
+        return self.relaxation
 
 
 def _certificate_at(bounds: BoundData, sigma: float, a: float, r: float,
@@ -485,18 +482,18 @@ def certify(bounds: BoundData, sigma: float, a: float) -> MajorantCertificate:
 
 
 # kept as the span target "majorant.apriori" of bench/tracer.py
-def apriori_bound(cert: MajorantCertificate, bounds: BoundData, n: int) -> float:
+def apriori_bound(cert: MajorantCertificate, n: int) -> float:
     """Error bound computable before the run: lam*theta*w(r, d^(n)(r, a))."""
-    return apriori_bounds(cert, bounds, n)[n]
+    return apriori_bounds(cert, n)[n]
 
 
-def apriori_bounds(cert: MajorantCertificate, bounds: BoundData, n_max: int) -> list[float]:
+def apriori_bounds(cert: MajorantCertificate, n_max: int) -> list[float]:
     """``apriori_bound`` for n = 0..n_max, from one pass over the iterates of a."""
     if not cert.feasible:
         raise ArgumentError("a priori bounds require a feasible certificate")
     if n_max < 0:
         raise ArgumentError("n_max must be >= 0")
-    rmap = cert.relaxation_for(bounds)
+    rmap = cert.relaxation_map()
     out = []
     dn = float(cert.a)
     for _ in range(n_max + 1):
@@ -506,8 +503,7 @@ def apriori_bounds(cert: MajorantCertificate, bounds: BoundData, n_max: int) -> 
 
 
 # span target "majorant.aposteriori" of bench/tracer.py; methods.solve calls it by name
-def aposteriori_bound(cert: MajorantCertificate, bounds: BoundData,
-                      res_norm: float) -> float:
+def aposteriori_bound(cert: MajorantCertificate, res_norm: float) -> float:
     """Error bound lam*theta*w(r, ||f(x_n)||) from the observed residual; see RelaxationMap.sum."""
-    rmap = cert.relaxation_for(bounds)
+    rmap = cert.relaxation_map()
     return rmap.lt * rmap.sum(res_norm)

@@ -197,11 +197,7 @@ class IterationTrace:
 
     steps: list[TraceStep]
     termination: str
-    problem_name: str
-    family: str
     space: SpaceGeometry
-    x0: np.ndarray
-    certified_r: float | None = None
     reason: str | None = None
 
     @property
@@ -233,16 +229,19 @@ def solve(problem, method: MethodSpec, space: SpaceGeometry, stop: StopRule,
     Stopping checks run in that fixed order each sweep so traces are
     reproducible.  With a certificate attached the ball radius is the
     certified r and every row also carries the running residual majorant
-    d^(n)(r, a) and the a posteriori error bound at the observed residual.
+    d^(n)(r, a) and the a posteriori error bound at the observed residual,
+    both from the certificate's relaxation map; ``bounds`` must be its bound data.
     """
     if (certificate is None) != (bounds is None):
         raise ArgumentError("certificate and bounds must be supplied together")
+    rmap = certificate.relaxation_map() if certificate is not None else None
+    if rmap is not None and bounds is not rmap.bounds:
+        raise ArgumentError("bounds are not those the certificate was built from")
     method.check_space(space)
     x = np.array(problem.x0, dtype=float)
     x0 = x.copy()
     radius = certificate.r if certificate is not None else problem.R
     bound_dn = certificate.a if certificate is not None else math.nan
-    rmap = certificate.relaxation_for(bounds) if certificate is not None else None
 
     steps: list[TraceStep] = []
     termination = "max_iter"
@@ -258,7 +257,7 @@ def solve(problem, method: MethodSpec, space: SpaceGeometry, stop: StopRule,
         apost = math.nan
         if certificate is not None:
             try:
-                apost = majorant.aposteriori_bound(certificate, bounds, res)
+                apost = majorant.aposteriori_bound(certificate, res)
             except DivergenceError:
                 apost = math.nan  # residual at or above the fixed point: no bound
         steps.append(TraceStep(n=n, x=x.copy(), res_norm=res,
@@ -292,11 +291,7 @@ def solve(problem, method: MethodSpec, space: SpaceGeometry, stop: StopRule,
 
     if not steps:  # f(x0) was non-finite
         steps.append(TraceStep(n=0, x=x0.copy(), res_norm=math.nan))
-    return IterationTrace(steps=steps, termination=termination,
-                          problem_name=getattr(problem, "name", "?"),
-                          family=method.family, space=space, x0=x0,
-                          certified_r=None if certificate is None else certificate.r,
-                          reason=reason)
+    return IterationTrace(steps=steps, termination=termination, space=space, reason=reason)
 
 
 @dataclass(frozen=True)
@@ -318,8 +313,8 @@ class VerificationReport:
         return not self.violations
 
 
-def verify_relaxation(trace: IterationTrace, cert: majorant.MajorantCertificate,
-                      bounds: majorant.BoundData) -> VerificationReport:
+def verify_relaxation(trace: IterationTrace,
+                      cert: majorant.MajorantCertificate) -> VerificationReport:
     """Check every recorded step against the certificate's per-step bounds.
 
     Asserts, for each executed step, that the residual norm contracted at
@@ -345,7 +340,7 @@ def verify_relaxation(trace: IterationTrace, cert: majorant.MajorantCertificate,
         raise ArgumentError(
             f"trace initial residual {a0:.12g} does not match certificate a={cert.a:.12g}")
     r = cert.r
-    rmap = cert.relaxation_for(bounds)
+    rmap = cert.relaxation_map()
     lt = rmap.lt
     report = VerificationReport()
     for i, step in enumerate(trace.steps):

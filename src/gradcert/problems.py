@@ -4,8 +4,8 @@ Each problem ships the ingredients the rest of the package consumes: the
 map f, its Jacobian, a center x0 and working-ball radius R, and (where a
 closed-form derivation exists) certified bounds as data, one set per
 operator T = I or f'^T, from which ``CertifiedBounds.bound_data`` picks a
-step family's.  The derivations are recorded in each problem's bounds
-note so the certificates are auditable rather than magic.
+step family's.  Each derivation is in its ``note``, which ``list-problems``
+prints, so the certificates are auditable rather than magic.
 
 Every ``jacobian`` takes one point, shape (n,), and returns J(x), shape
 (n, n).  Every shipped problem also supplies the two operator actions
@@ -73,7 +73,7 @@ class CertifiedBounds:
         else:
             lam = op.lam_relaxed / th
         return BoundData(lam=lam, theta=op.theta, omega=self.omega, R=self.R, nu=op.nu,
-                         step_family=method.mu_family, vartheta=th, note=self.note)
+                         step_family=method.mu_family, vartheta=th)
 
 
 @dataclass(frozen=True)
@@ -285,6 +285,8 @@ def chandrasekhar(c: float = 0.5, n: int = 20, R: float = 2.0) -> Problem:
         raise ArgumentError("parameter c must lie in (0, 1)")
     if n < 2:
         raise ArgumentError("n must be >= 2")
+    if not 0.0 < float(R) < math.inf:  # the configured R, not the scaled one Problem checks
+        raise ArgumentError(f"problem radius R={float(R)} must be positive and finite")
     mu = (np.arange(n) + 0.5) / n
     K = 0.5 * c * (1.0 / n) * mu[:, None] / (mu[:, None] + mu[None, :])
 

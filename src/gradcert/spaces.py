@@ -99,17 +99,6 @@ def norm(space: SpaceGeometry, x) -> float:
     return nv
 
 
-def _duality_parts(space: SpaceGeometry, xv: np.ndarray, m: float):
-    """(c, w) with Jx = c * w, for x with largest magnitude m > 0.
-
-    Rescaled so the (p-1)-powers stay inside the floating-point range:
-    c = m * ||x/m||^(2-p) and w_i = |x_i/m|^(p-1) sign(x_i).
-    """
-    u = xv / m
-    nu_ = float(np.sum(np.abs(u) ** space.p)) ** (1.0 / space.p)
-    return m * nu_ ** (2.0 - space.p), np.abs(u) ** (space.p - 1.0) * np.sign(u)
-
-
 def semiscalar(space: SpaceGeometry, x, y) -> float:
     """Semiscalar product [x, y] = <Jx, y>; the dot product when p = 2.
 
@@ -129,24 +118,16 @@ def semiscalar(space: SpaceGeometry, x, y) -> float:
             _vec(xv)
             _vec(yv)
             return 0.0
-        c, w = _duality_parts(space, xv, m)
+        # Jx = c * w, rescaled by m so the (p-1)-powers stay inside the
+        # floating-point range: c = m * ||x/m||^(2-p), w_i = |x_i/m|^(p-1) sign(x_i)
+        u = xv / m
+        nu_ = float(np.sum(np.abs(u) ** space.p)) ** (1.0 / space.p)
+        c, w = m * nu_ ** (2.0 - space.p), np.abs(u) ** (space.p - 1.0) * np.sign(u)
         s = float(c * (w @ yv))
     if not math.isfinite(s):
         _vec(xv)  # raises on a non-finite entry; an overflow stays inf
         _vec(yv)
     return s
-
-
-def duality_map(space: SpaceGeometry, x) -> np.ndarray:
-    """Jx as a coordinate vector: ||Jx||_q = ||x|| and <Jx, x> = ||x||^2."""
-    xv = _vec(x)
-    if space.kind == EUCLIDEAN:
-        return xv.copy()
-    m = float(np.max(np.abs(xv)))
-    if m == 0.0:
-        return np.zeros_like(xv)
-    c, w = _duality_parts(space, xv, m)
-    return c * w
 
 
 # Row-wise variants used by the sampling code; rows of X/Y are vectors.  Short
@@ -183,7 +164,7 @@ def norm_duality_rows(space: SpaceGeometry, X: np.ndarray):
 
     The map is (nz, c, W), None in Euclidean space: the rows with a nonzero
     entry (a mask, or a full slice if all have one) and their J x = c * w,
-    rescaled as in ``_duality_parts``.  It serves each Y paired with X.
+    rescaled as in ``semiscalar``.  It serves each Y paired with X.
     """
     if space.kind == EUCLIDEAN:
         return norm_rows(space, X), None
@@ -208,7 +189,6 @@ def semiscalar_rows(space: SpaceGeometry, X: np.ndarray, Y: np.ndarray,
 class PropertyCheck:
     """Worst normalized slack of one sampled property (negative = violated)."""
 
-    name: str
     worst_slack: float
     violations: int
     witness: tuple | None
@@ -337,7 +317,7 @@ def verify_space_axioms(space: SpaceGeometry, n_samples: int = 1000, seed: int =
         checked += len(xs_s) + n_rand
 
     checks = {
-        name: PropertyCheck(name, worst[name][0], nviol[name],
+        name: PropertyCheck(worst[name][0], nviol[name],
                             worst[name][1] if nviol[name] else None)
         for name in _AXIOM_NAMES
     }

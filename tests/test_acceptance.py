@@ -99,7 +99,7 @@ def test_relaxation_invariant_on_certified_builtins():
             n_feasible += 1
             trace = gc.solve(problem, method, EUC, stop, cert, bounds)
             assert trace.termination == "converged", (problem.name, family)
-            report = gc.verify_relaxation(trace, cert, bounds)
+            report = gc.verify_relaxation(trace, cert)
             assert report.ok, (problem.name, family, report.violations[:3])
             for step in trace.steps:
                 assert step.dist_from_center <= cert.r * (1.0 + 1e-9)
@@ -124,7 +124,7 @@ def test_aposteriori_bound_quad2d_and_chandrasekhar():
         trace = gc.solve(pq, method, EUC, gc.StopRule(1e-10, 200))
         assert trace.termination == "converged"
         for step in trace.steps:
-            bound = gc.aposteriori_bound(cert, bounds, step.res_norm)
+            bound = gc.aposteriori_bound(cert, step.res_norm)
             err = float(np.linalg.norm(step.x - x_star_q))
             assert err <= bound + 1e-8, (family, step.n, err, bound)
             checked += 1
@@ -141,7 +141,7 @@ def test_aposteriori_bound_quad2d_and_chandrasekhar():
     assert trace.termination == "converged"
     x_star_c = gc.newton_solve(pc)
     for step in trace.steps:
-        bound = gc.aposteriori_bound(cert, bounds, step.res_norm)
+        bound = gc.aposteriori_bound(cert, step.res_norm)
         err = float(np.linalg.norm(step.x - x_star_c))
         assert err <= bound + 1e-8, (step.n, err, bound)
         checked += 1
@@ -319,7 +319,7 @@ def test_negative_controls(tmp_path):
     assert cert.feasible
     trace = gc.solve(p, gc.MethodSpec(gc.MIN_RESIDUAL), EUC,
                      gc.StopRule(1e-10, 300), cert, bad)
-    report = gc.verify_relaxation(trace, cert, bad)
+    report = gc.verify_relaxation(trace, cert)
     assert len(report.violations) > 0
 
     # (b) the indefinite-Jacobian problem triggers an acuteness failure

@@ -216,6 +216,12 @@ def test_list_problems(capsys):
     names = {row["name"] for row in out}
     assert {"identity", "linear_spd", "quad2d", "scalar_quad",
             "chandrasekhar", "indefinite2d"} <= names
+    # each row says how its certified bounds were derived, or null without any
+    notes = {row["name"]: row["certified_bounds_note"] for row in out}
+    assert "antieigenvalue" in notes["linear_spd"]
+    assert notes["chandrasekhar"] is None
+    assert all((row["certified_bounds_note"] is None) != row["has_certified_bounds"]
+               for row in out)
 
 
 def test_reports_are_byte_reproducible(tmp_path):
@@ -342,6 +348,15 @@ def test_problem_radius_not_positive_is_config_error_at_problem(tmp_path, capsys
     assert cli.main([command, "--config", write_config(tmp_path, **cfg)]) == 1
     assert capsys.readouterr().err.startswith(
         f"config error at problem: problem radius R={R} must be positive and finite")
+
+
+def test_chandrasekhar_radius_error_names_the_configured_radius(tmp_path, capsys):
+    # at n = 80 the ball radius is R * sqrt(n / 20) = 2 R; the message names R as given
+    cfg = solve_config(tmp_path, problem={"name": "chandrasekhar", "params": {"n": 80, "R": -1}},
+                       bounds={"mode": "estimated"})
+    assert cli.main(["estimate", "--config", write_config(tmp_path, **cfg)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "config error at problem: problem radius R=-1.0 must be positive and finite")
 
 
 def test_certified_bounds_missing_rejected(tmp_path):

@@ -156,7 +156,7 @@ def test_estimated_bounds_certify_and_verify_linear():
     assert cert.feasible
     assert cert.linear_rate == pytest.approx(0.6, abs=1e-5)
     trace = gc.solve(p, MR, EUC, gc.StopRule(1e-10, 300), cert, bounds)
-    report = gc.verify_relaxation(trace, cert, bounds)
+    report = gc.verify_relaxation(trace, cert)
     assert report.ok
 
 

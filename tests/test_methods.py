@@ -264,11 +264,48 @@ def test_solve_requires_cert_and_bounds_together():
         gc.solve(p, method, EUC, STOP, certificate=cert)
 
 
+def test_solve_refuses_bounds_other_than_its_certificates():
+    # equal values are not enough: the trace columns come from the certificate's own map
+    p = gc.linear_spd(1, 4, 2)
+    method = gc.MethodSpec(gc.MIN_RESIDUAL)
+    bounds = p.certified_bounds.bound_data(method, 1.0)
+    cert = gc.certify(bounds, 1.0, gc.norm(EUC, p.f(p.x0)))
+    assert cert.feasible and cert.relaxation.bounds is bounds
+    other = p.certified_bounds.bound_data(method, 1.0)
+    with pytest.raises(ArgumentError):
+        gc.solve(p, method, EUC, STOP, certificate=cert, bounds=other)
+
+
+def test_a_certificate_without_a_map_is_an_argument_error():
+    p = gc.linear_spd(1, 4, 2)
+    method = gc.MethodSpec(gc.MIN_RESIDUAL)
+    trace, cert, bounds = certified_run(p, gc.MIN_RESIDUAL)
+    hand_built = gc.MajorantCertificate(
+        r=cert.r, a=cert.a, sigma=cert.sigma, phi_star=cert.phi_star,
+        w_of_a=cert.w_of_a, condition_value=cert.condition_value,
+        feasible=True, velo_bound=cert.velo_bound, linear_rate=cert.linear_rate)
+    with pytest.raises(ArgumentError, match="no relaxation map"):
+        gc.solve(p, method, EUC, STOP, hand_built, bounds)
+    with pytest.raises(ArgumentError, match="no relaxation map"):
+        gc.verify_relaxation(trace, hand_built)
+    with pytest.raises(ArgumentError, match="no relaxation map"):
+        gc.apriori_bounds(hand_built, 3)
+    with pytest.raises(ArgumentError, match="no relaxation map"):
+        gc.aposteriori_bound(hand_built, cert.a)
+    # an infeasible certificate whose map could not be built: nu below the
+    # relaxed step's validity threshold sqrt(1/2) gives mu >= 1 at every radius
+    altman = gc.BoundData(lam=1.0, theta=1.0, omega=gc.LipschitzModulus(0.0), R=1.0,
+                          nu=0.5, step_family="altman")
+    infeasible = gc.certify(altman, 1.0, 0.1)
+    assert not infeasible.feasible and infeasible.relaxation is None
+    with pytest.raises(ArgumentError, match="no relaxation map"):
+        gc.aposteriori_bound(infeasible, 0.1)
+
+
 def test_certified_trace_columns():
     p = gc.linear_spd(1, 4, 2)
     trace, cert, bounds = certified_run(p, gc.MIN_RESIDUAL)
     assert cert.feasible and trace.termination == "converged"
-    assert trace.certified_r == cert.r
     # residual majorant column dominates the observed residuals
     for s in trace.steps:
         assert s.res_norm <= s.bound_dn * (1.0 + 1e-9)
@@ -289,14 +326,14 @@ def test_verify_relaxation_zero_violations_linear():
     for fam in (gc.MIN_RESIDUAL, gc.STEEPEST_DESCENT, gc.MIN_CO_ERROR):
         trace, cert, bounds = certified_run(p, fam)
         assert cert.feasible, fam
-        report = gc.verify_relaxation(trace, cert, bounds)
+        report = gc.verify_relaxation(trace, cert)
         assert report.ok
         assert report.checked_steps == trace.n_steps
 
 
 def test_verify_relaxation_single_step_identity():
     trace, cert, bounds = certified_run(gc.identity(3), gc.STEEPEST_DESCENT)
-    report = gc.verify_relaxation(trace, cert, bounds)
+    report = gc.verify_relaxation(trace, cert)
     assert report.ok
     assert trace.final.res_norm <= 1e-13
 
@@ -311,7 +348,7 @@ def test_verify_relaxation_flags_understated_mu():
     cert = gc.certify(bad, 1.0, a)
     assert cert.feasible  # feasible w.r.t. the (wrong) bounds
     trace = gc.solve(p, gc.MethodSpec(gc.MIN_RESIDUAL), EUC, STOP, cert, bad)
-    report = gc.verify_relaxation(trace, cert, bad)
+    report = gc.verify_relaxation(trace, cert)
     assert not report.ok
     assert any(v.kind == "residual" for v in report.violations)
 
@@ -324,7 +361,7 @@ def test_verify_relaxation_metadata_mismatch():
         w_of_a=cert.w_of_a, condition_value=cert.condition_value,
         feasible=True, velo_bound=cert.velo_bound, linear_rate=cert.linear_rate)
     with pytest.raises(ArgumentError):
-        gc.verify_relaxation(trace, other, bounds)
+        gc.verify_relaxation(trace, other)
 
 
 def test_verify_relaxation_requires_feasible():
@@ -335,7 +372,7 @@ def test_verify_relaxation_requires_feasible():
     trace = gc.solve(p, method, EUC, STOP)
     if not cert.feasible:
         with pytest.raises(ArgumentError):
-            gc.verify_relaxation(trace, cert, bounds)
+            gc.verify_relaxation(trace, cert)
 
 
 # --- empirical rates ----------------------------------------------------------------
@@ -362,7 +399,6 @@ def test_empirical_rates_bounded_by_theory_diag14():
 def test_empirical_rates_needs_steps():
     p = gc.linear_spd(1, 4, 2)
     trace = gc.IterationTrace(steps=[gc.TraceStep(0, p.x0, 1.0)], termination="max_iter",
-                              problem_name="t", family=gc.MIN_RESIDUAL,
-                              space=EUC, x0=p.x0)
+                              space=EUC)
     with pytest.raises(ArgumentError):
         gc.empirical_rates(trace, p.known_solution)

@@ -1,7 +1,9 @@
 """The example scripts run end to end on the package in ``src``."""
 
 import importlib.util
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +44,28 @@ def _digest_module():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_fixed_clock_digest_lines_are_those_of_python_m_runs(tmp_path):
+    # the digest's one child process reports what `python -m gradcert` writes
+    # and exits with; with no output paths each report is standard output
+    digest = _digest_module()
+    config = tmp_path / "quad2d.json"
+    config.write_text(json.dumps({k: v for k, v in json.loads(
+        (ROOT / "configs" / "quad2d_certify.json").read_text()).items() if k != "output"}))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    expected = []
+    for cmd in digest.COMMANDS:
+        work = tmp_path / cmd
+        work.mkdir()
+        shutil.copy(config, work / "config.json")
+        proc = subprocess.run([sys.executable, "-m", "gradcert", cmd, "--config", "config.json",
+                               "--fixed-clock"], cwd=work, env=env, capture_output=True)
+        tag = f"quad2d.json {cmd}"
+        expected += [*digest.report_lines(tag, proc.stdout, False), f"{tag} trace absent",
+                     f"{tag} exit {proc.returncode}"]
+    assert {line.split()[-1] for line in expected if " exit " in line} == {"0", "3"}
+    assert digest.digest(ROOT, [config]) == expected
 
 
 def test_numeric_leaves_name_each_number_by_its_json_path():

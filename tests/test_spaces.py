@@ -179,35 +179,6 @@ def test_semiscalar_rows_with_shared_duality_parts(space):
             assert rel_close(g, gc.semiscalar(space, x, y), 1e-13, gc.norm(space, x) * gc.norm(space, y))
 
 
-def test_duality_map_euclidean_identity():
-    x = np.array([1.0, 2.0])
-    assert np.array_equal(gc.duality_map(gc.euclidean(), x), x)
-
-
-def test_duality_map_p4_hand_value():
-    sp = gc.sequence_p(4)
-    jx = gc.duality_map(sp, [1.0, 1.0])
-    np.testing.assert_allclose(jx, [2 ** -0.5, 2 ** -0.5], rtol=1e-15)
-    # both defining identities of the duality selection
-    assert gc.semiscalar(sp, [1.0, 1.0], [1.0, 1.0]) == pytest.approx(math.sqrt(2), rel=1e-14)
-    assert float(jx @ [1.0, 1.0]) == pytest.approx(math.sqrt(2), rel=1e-14)
-
-
-def test_duality_map_zero():
-    assert np.array_equal(gc.duality_map(gc.sequence_p(5), np.zeros(3)), np.zeros(3))
-
-
-@settings(max_examples=150, deadline=None)
-@given(x=vectors(1, 5), p=st.sampled_from(P_VALUES))
-def test_duality_map_defining_identities(x, p):
-    sp = gc.sequence_p(p)
-    jx = gc.duality_map(sp, x)
-    nx = gc.norm(sp, x)
-    q = p / (p - 1.0)  # ||Jx|| in the dual space l_q
-    assert rel_close(float(np.sum(np.abs(jx) ** q) ** (1.0 / q)), nx, 1e-10)
-    assert rel_close(float(jx @ x), nx ** 2, 1e-10)
-
-
 # --- quadratic norm inequality ----------------------------------------------
 
 @settings(max_examples=200, deadline=None)
