@@ -6,9 +6,10 @@ Exit codes: 0 success (converged and, when verified, no bound violations),
 mathematical check, 3 non-convergence or infeasible certificate,
 4 breakdown.
 
-Configs are a single JSON object; unknown keys are rejected so a report's
-embedded config always captures the run exactly.  Reports are
-byte-reproducible for a fixed config and seed when --fixed-clock is set.
+Configs are a single JSON object; unknown keys, and values not of their
+key's type, are rejected so a report's embedded config always captures the
+run exactly.  Reports are byte-reproducible for a fixed config and seed
+when --fixed-clock is set.
 """
 
 from __future__ import annotations
@@ -35,32 +36,44 @@ EXIT_VIOLATIONS = 2
 EXIT_NOT_CONVERGED = 3
 EXIT_BREAKDOWN = 4
 
-# Every config key with its default; other keys are rejected.  The resolved
-# config fills in each section.  bounds.explicit and bounds.plan stay as
+# Every config key with its default; other keys are rejected.  A key with no
+# default gives its type instead, and is null until given.  The resolved
+# config fills in each section; bounds.explicit and bounds.plan stay as
 # given, or None, and their defaults apply where they are read (plan.seed is
 # run.seed, explicit.R the problem's R); problem.params is free-form.
 _DEFAULTS = {
-    "problem": {"name": None, "params": {}},
-    "method": {"family": None, "vartheta": 1.0},
+    "problem": {"name": str, "params": {}},
+    "method": {"family": str, "vartheta": 1.0},
     "space": {"kind": "euclidean", "p": 2.0},
     "bounds": {
         "mode": "certified",
-        "explicit": {"mu": None, "nu": None, "lam": 1.0, "theta": 1.0, "R": None,
+        "explicit": {"mu": float, "nu": float, "lam": 1.0, "theta": 1.0, "R": float,
                      "omega": {"family": "lipschitz", "L": 0.0, "alpha": 1.0,
-                               "ts": None, "ws": None}},
-        "plan": {"seed": None, "n_points": 32, "n_dirs": 64, "refine": True},
+                               "ts": list, "ws": list}},
+        "plan": {"seed": int, "n_points": 32, "n_dirs": 64, "refine": True},
     },
     "run": {"res_tol": 1e-10, "max_iter": 500, "seed": 0, "samples": 100000},
-    "output": {"report_path": None, "trace_path": None},
+    "output": {"report_path": str, "trace_path": str},
 }
+_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+          list: "a list", dict: "an object"}
 
 
 class ConfigError(Exception):
     """Configuration problem with a config-path-qualified message."""
 
 
+def _unset(default) -> bool:
+    """Whether a key is null until given: it has no default, or is a nested object."""
+    return isinstance(default, type) or isinstance(default, dict) and bool(default)
+
+
 def _check_keys(obj: dict, table: dict, path: str) -> None:
-    """Reject a non-object or an unknown key at ``path``, then the objects it gives."""
+    """Reject an unknown key at ``path``, or a value not of its key's type.
+
+    A float takes any number but a bool; int and bool are exact; null is
+    taken only where the key is null until given.
+    """
     if not isinstance(obj, dict):
         raise ConfigError(f"config error at {path}: expected an object")
     unknown = set(obj) - set(table)
@@ -68,9 +81,22 @@ def _check_keys(obj: dict, table: dict, path: str) -> None:
         raise ConfigError(
             f"config error at {path}: unknown key(s) {sorted(unknown)}; "
             f"allowed: {sorted(table)}")
-    for key, default in table.items():
-        if isinstance(default, dict) and default and obj.get(key) is not None:
-            _check_keys(obj[key], default, f"{path}.{key}")
+    for key, value in obj.items():
+        default = table[key]
+        kind = default if isinstance(default, type) else type(default)
+        if value is None and _unset(default):
+            continue
+        if not (type(value) is kind or kind is float and type(value) is int):
+            raise ConfigError(
+                f"config error at {path}: {key} must be {_KINDS[kind]}, got {value!r}")
+        if kind is dict and default:
+            _check_keys(value, default, f"{path}.{key}")
+
+
+def _filled(table: dict, given: dict | None) -> dict:
+    """The values ``given`` for the keys of ``table``, and their defaults."""
+    return {key: (given or {}).get(key, None if _unset(default) else copy.copy(default))
+            for key, default in table.items()}
 
 
 @contextlib.contextmanager
@@ -90,7 +116,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(
             f"config parse error in {path} at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}")
-    _check_keys(cfg, dict.fromkeys(_DEFAULTS), "<root>")
+    _check_keys(cfg, dict.fromkeys(_DEFAULTS, {}), "<root>")
     for section, table in _DEFAULTS.items():
         if section in cfg:
             _check_keys(cfg[section], table, section)
@@ -99,19 +125,11 @@ def load_config(path: str) -> dict:
 
 def _resolved(cfg: dict) -> dict:
     """Fill defaults so the embedded config fully describes the run."""
-    out = {section: {key: cfg.get(section, {}).get(key, copy.copy(default))
-                     for key, default in table.items()}
-           for section, table in _DEFAULTS.items()}
-    out["bounds"].update({k: cfg.get("bounds", {}).get(k) for k in ("explicit", "plan")})
-    run = out["run"]
-    for key in ("seed", "samples", "max_iter"):  # int() would run 1.9 as 1 and echo 1.9
-        if type(run[key]) is not int:
-            raise ConfigError(f"config error at run: {key} must be an integer, got {run[key]!r}")
-    if type(run["res_tol"]) not in (int, float):  # float() would run true as 1.0
-        raise ConfigError(f"config error at run: res_tol must be a number, got {run['res_tol']!r}")
-    if run["max_iter"] < 1:
-        raise ConfigError(f"config error at run: max_iter must be >= 1, got {run['max_iter']}")
-    return out
+    rc = {section: _filled(table, cfg.get(section)) for section, table in _DEFAULTS.items()}
+    if rc["run"]["max_iter"] < 1:  # certify builds no StopRule to refuse it
+        raise ConfigError(
+            f"config error at run: max_iter must be >= 1, got {rc['run']['max_iter']}")
+    return rc
 
 
 def _build_space(rc: dict) -> spaces.SpaceGeometry:
@@ -143,14 +161,9 @@ def _build(rc: dict) -> tuple[problems.Problem, spaces.SpaceGeometry, methods.Me
 
 
 def _build_plan(rc: dict) -> estimator.SamplePlan:
-    plan = {**_DEFAULTS["bounds"]["plan"], "seed": rc["run"]["seed"],
-            **(rc["bounds"]["plan"] or {})}
-    # taken as given: int() and bool() would run "false" as true and 2.9 as 2
-    for key, kind in (("seed", int), ("n_points", int), ("n_dirs", int), ("refine", bool)):
-        if type(plan[key]) is not kind:
-            raise ConfigError(f"config error at bounds.plan: {key} must be "
-                              f"{'a boolean' if kind is bool else 'an integer'}, "
-                              f"got {plan[key]!r}")
+    plan = _filled(_DEFAULTS["bounds"]["plan"], rc["bounds"]["plan"])
+    if plan["seed"] is None:
+        plan["seed"] = rc["run"]["seed"]
     with _at("bounds.plan"):
         return estimator.SamplePlan(**plan)
 
@@ -159,9 +172,8 @@ def _explicit_bounds(rc: dict, problem, method) -> majorant.BoundData:
     given = rc["bounds"]["explicit"]
     if given is None:
         raise ConfigError("config error at bounds.explicit: required for mode=explicit")
-    defaults = _DEFAULTS["bounds"]["explicit"]
-    ex = {**defaults, "R": problem.R, **given}
-    om = {**defaults["omega"], **(ex["omega"] or {})}
+    ex = _filled(_DEFAULTS["bounds"]["explicit"], given)
+    om = _filled(_DEFAULTS["bounds"]["explicit"]["omega"], ex["omega"])
     fam = om["family"]
     with _at("bounds.explicit"):
         if fam == "lipschitz":
@@ -174,9 +186,10 @@ def _explicit_bounds(rc: dict, problem, method) -> majorant.BoundData:
             raise ConfigError(
                 f"config error at bounds.explicit.omega.family: unknown {fam!r}")
         # a given mu is used as is; a given nu takes the method's contraction formula
-        mu_nu = {k: float(given[k]) for k in ("mu", "nu") if k in given}
+        mu_nu = {k: float(ex[k]) for k in ("mu", "nu") if ex[k] is not None}
         return majorant.BoundData(
-            lam=float(ex["lam"]), theta=float(ex["theta"]), omega=omega, R=float(ex["R"]),
+            lam=float(ex["lam"]), theta=float(ex["theta"]), omega=omega,
+            R=float(problem.R if ex["R"] is None else ex["R"]),
             step_family=method.mu_family, vartheta=method.effective_vartheta, **mu_nu)
 
 
@@ -205,8 +218,6 @@ def _resolve_bounds(rc, problem, method, space):
 # serialization
 
 def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [float(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
         f = float(obj)
         return f if math.isfinite(f) else repr(f)
@@ -215,7 +226,8 @@ def _jsonable(obj):
     if isinstance(obj, np.bool_):
         return bool(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        # a field left out of repr (the certificate's relaxation map) is not reported
+        # a field left out of repr (a certificate's relaxation map, a space
+        # check's witness) is not reported
         return {f.name: _jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj) if f.repr}
     if isinstance(obj, dict):
@@ -226,10 +238,8 @@ def _jsonable(obj):
 
 
 def _write_report(report: dict, rc: dict, fixed_clock: bool) -> None:
-    report = dict(report)
-    report["config"] = rc
-    report["generated_at"] = (None if fixed_clock
-                              else datetime.now(timezone.utc).isoformat())
+    report = {**report, "config": rc, "generated_at":
+              None if fixed_clock else datetime.now(timezone.utc).isoformat()}
     text = json.dumps(_jsonable(report), indent=2, sort_keys=True)
     path = rc["output"]["report_path"]
     if path:
@@ -253,45 +263,34 @@ def _write_trace(trace: methods.IterationTrace, path: str | None) -> None:
         w = csv.writer(fh)
         w.writerow(_TRACE_COLUMNS)
         for s in trace.steps:
-            w.writerow([s.n, _fmt(s.res_norm), _fmt(s.lambda_), _fmt(s.step_norm),
-                        _fmt(s.dist_from_center), _fmt(s.bound_dn),
-                        _fmt(s.apost_bound)])
-
-
-def _trace_summary(trace: methods.IterationTrace) -> dict:
-    return {
-        "n_steps": trace.n_steps,
-        "termination": trace.termination,
-        "final_res_norm": trace.final.res_norm,
-        "final_dist_from_center": trace.final.dist_from_center,
-        "reason": trace.reason,
-    }
+            w.writerow([s.n, *map(_fmt, (s.res_norm, s.lambda_, s.step_norm,
+                                         s.dist_from_center, s.bound_dn, s.apost_bound))])
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _certify(problem, space, bounds) -> majorant.MajorantCertificate:
-    """The certificate for the run from the problem's x0 (a = ||f(x0)||)."""
-    a = spaces.norm(space, np.asarray(problem.f(problem.x0), float))
-    return majorant.certify(bounds, space.sigma, a)
+def _certified(rc: dict):
+    """Problem, space, method, bounds note, and the certificate at x0 (None without bounds)."""
+    problem, space, method = _build(rc)
+    bounds, bounds_note = _resolve_bounds(rc, problem, method, space)
+    cert = None
+    if bounds is not None:
+        a = spaces.norm(space, np.asarray(problem.f(problem.x0), float))
+        cert = majorant.certify(bounds, space.sigma, a)
+    return problem, space, method, bounds_note, cert
 
 
 def cmd_solve(rc: dict, fixed_clock: bool) -> int:
-    problem, space, method = _build(rc)
-    bounds, bounds_note = _resolve_bounds(rc, problem, method, space)
     with _at("run"):
         stop = methods.StopRule(res_tol=float(rc["run"]["res_tol"]),
                                 max_iter=rc["run"]["max_iter"])
-
-    cert = None if bounds is None else _certify(problem, space, bounds)
+    problem, space, method, bounds_note, cert = _certified(rc)
     attach = cert is not None and cert.feasible
     trace = methods.solve(problem, method, space, stop,
                           certificate=cert if attach else None,
-                          bounds=bounds if attach else None)
-    verification = None
-    if attach:
-        verification = methods.verify_relaxation(trace, cert)
+                          bounds=cert.relaxation.bounds if attach else None)
+    verification = methods.verify_relaxation(trace, cert) if attach else None
 
     rates = None
     if problem.known_solution is not None and trace.n_steps >= 1:
@@ -312,7 +311,10 @@ def cmd_solve(rc: dict, fixed_clock: bool) -> int:
         "command": "solve",
         "bounds_note": bounds_note,
         "certificate": cert,
-        "trace": _trace_summary(trace),
+        "trace": {"n_steps": trace.n_steps, "termination": trace.termination,
+                  "final_res_norm": trace.final.res_norm,
+                  "final_dist_from_center": trace.final.dist_from_center,
+                  "reason": trace.reason},
         "verification": verification,
         "empirical_rates": rates,
         "exit_status": status,
@@ -321,20 +323,14 @@ def cmd_solve(rc: dict, fixed_clock: bool) -> int:
 
 
 def cmd_certify(rc: dict, fixed_clock: bool) -> int:
-    problem, space, method = _build(rc)
-    bounds, bounds_note = _resolve_bounds(rc, problem, method, space)
-    if bounds is None:
-        _write_report({"command": "certify", "bounds_note": bounds_note,
-                       "certificate": None, "exit_status": EXIT_VIOLATIONS},
-                      rc, fixed_clock)
-        return EXIT_VIOLATIONS
-    cert = _certify(problem, space, bounds)
+    _, _, _, bounds_note, cert = _certified(rc)
     apriori = None
-    if cert.feasible:
+    if cert is not None and cert.feasible:
         n_table = min(rc["run"]["max_iter"], 25)
         apriori = [{"n": n, "bound": bound} for n, bound in
                    enumerate(majorant.apriori_bounds(cert, n_table))]
-    status = EXIT_OK if cert.feasible else EXIT_NOT_CONVERGED
+    status = (EXIT_VIOLATIONS if cert is None  # estimation failed
+              else EXIT_OK if cert.feasible else EXIT_NOT_CONVERGED)
     _write_report({
         "command": "certify",
         "bounds_note": bounds_note,
@@ -349,13 +345,8 @@ def cmd_estimate(rc: dict, fixed_clock: bool) -> int:
     problem, space, method = _build(rc)
     plan = _build_plan(rc)
     est = estimator.sample_estimates(problem, method, space, problem.R, plan)
-    nu, lam, nu_traj = est.nu_tilde, est.lambda_tilde, est.nu_trajectory
-    L = est.lipschitz()
-
-    sigma = space.sigma
-    th = method.effective_vartheta
-    mu_min = mu_alt = None
-    altman_valid = None
+    nu, sigma, th = est.nu_tilde, space.sigma, method.effective_vartheta
+    mu_min = mu_alt = altman_valid = None
     threshold = majorant.altman_validity_threshold(th, sigma)
     if 0.0 < nu <= 1.0:
         mu_min = majorant.mu_min_family(nu, sigma)
@@ -369,10 +360,12 @@ def cmd_estimate(rc: dict, fixed_clock: bool) -> int:
         "command": "estimate",
         "estimates": {
             "nu_tilde": {"value": nu, "label": "upper estimate of the infimum"},
-            "lambda_tilde": {"value": lam, "label": "lower estimate of the supremum"},
-            "nu_trajectory": {"value": nu_traj,
+            "lambda_tilde": {"value": est.lambda_tilde,
+                             "label": "lower estimate of the supremum"},
+            "nu_trajectory": {"value": est.nu_trajectory,
                               "label": "upper estimate along residual directions"},
-            "omega_lipschitz": {"value": L, "label": "lower estimate of the supremum"},
+            "omega_lipschitz": {"value": est.lipschitz(),
+                                "label": "lower estimate of the supremum"},
         },
         "derived": {
             "mu_min_family": mu_min,
@@ -394,31 +387,21 @@ def cmd_verify_space(rc: dict, fixed_clock: bool) -> int:
     status = EXIT_OK if report.passed else EXIT_VIOLATIONS
     _write_report({
         "command": "verify-space",
-        "space_axioms": {
-            "passed": report.passed,
-            "n_checked": report.n_checked,
-            "sigma": report.sigma,
-            "tol": report.tol,
-            "checks": {name: {"worst_slack": c.worst_slack,
-                              "violations": c.violations}
-                       for name, c in report.checks.items()},
-        },
+        "space_axioms": report,
         "exit_status": status,
     }, rc, fixed_clock)
     return status
 
 
 def cmd_list_problems() -> int:
-    rows = []
-    for p in problems.registry():
-        rows.append({
-            "name": p.name,
-            "dim": p.dim,
-            "R": p.R,
-            "default_params": _jsonable(p.params),
-            "has_certified_bounds": p.certified_bounds is not None,
-            "certified_bounds_note": getattr(p.certified_bounds, "note", None),
-        })
+    rows = [{
+        "name": p.name,
+        "dim": p.dim,
+        "R": p.R,
+        "default_params": _jsonable(p.params),
+        "has_certified_bounds": p.certified_bounds is not None,
+        "certified_bounds_note": getattr(p.certified_bounds, "note", None),
+    } for p in problems.registry()]
     print(json.dumps(rows, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -431,8 +414,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="gradcert",
         description="Residual-driven iterative solvers with majorant certificates")
-    parser.add_argument("command",
-                        choices=[*_COMMANDS, "list-problems"])
+    parser.add_argument("command", choices=[*_COMMANDS, "list-problems"])
     parser.add_argument("--config", help="path to the JSON run configuration")
     parser.add_argument("--fixed-clock", action="store_true",
                         help="omit timestamps so reports are byte-reproducible")

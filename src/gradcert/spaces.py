@@ -191,7 +191,7 @@ class PropertyCheck:
 
     worst_slack: float
     violations: int
-    witness: tuple | None
+    witness: tuple | None = field(repr=False)  # kept out of reports
 
 
 @dataclass

@@ -1,9 +1,11 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
 
+import gradcert as gc
 from gradcert import cli
 
 
@@ -415,3 +417,111 @@ def test_negative_seed_is_config_error(tmp_path, capsys, command, via):
 def test_report_values_may_be_numpy_scalars():
     report = {"ok": np.bool_(True), "x": np.float64(0.5), "n": np.int64(3)}
     assert json.dumps(cli._jsonable(report)) == '{"ok": true, "x": 0.5, "n": 3}'
+
+
+@pytest.mark.parametrize("omega, modulus", [
+    ({"family": "holder", "L": 0.05, "alpha": 0.5}, lambda: gc.HolderModulus(0.05, 0.5)),
+    ({"family": "tabulated", "ts": [0, 1, 2], "ws": [0, 0.05, 0.1]},
+     lambda: gc.TabulatedModulus([0.0, 1.0, 2.0], [0.0, 0.05, 0.1]))],
+    ids=["holder", "tabulated"])
+def test_explicit_omega_family_builds_its_modulus(tmp_path, omega, modulus):
+    explicit = {"nu": 0.8, "omega": omega}
+    cfg = solve_config(tmp_path, bounds={"mode": "explicit", "explicit": explicit})
+    rc = write_config(tmp_path, **cfg)
+    assert cli.main(["certify", "--config", rc, "--fixed-clock"]) == 0
+    cert = read_report(tmp_path)["certificate"]
+    p = gc.linear_spd(1, 4, 2)
+    bounds = gc.BoundData(lam=1.0, theta=1.0, omega=modulus(), R=p.R, nu=0.8,
+                          step_family="min")
+    expected = gc.certify(bounds, 1.0, gc.norm(gc.euclidean(), p.f(p.x0)))
+    assert cert["feasible"] and cert["r"] == expected.r
+    # a nonzero modulus needs a wider ball than the default omega = 0
+    cfg["bounds"]["explicit"] = {"nu": 0.8}
+    assert cli.main(["certify", "--config", write_config(tmp_path, **cfg), "--fixed-clock"]) == 0
+    assert cert["r"] > read_report(tmp_path)["certificate"]["r"]
+    assert cli.main(["solve", "--config", rc, "--fixed-clock"]) == 0
+    assert read_report(tmp_path)["verification"]["violations"] == []
+
+
+def test_unknown_omega_family_is_config_error(tmp_path, capsys):
+    explicit = {"nu": 0.8, "omega": {"family": "cubic"}}
+    cfg = solve_config(tmp_path, bounds={"mode": "explicit", "explicit": explicit})
+    assert cli.main(["certify", "--config", write_config(tmp_path, **cfg)]) == 1
+    assert capsys.readouterr().err == (
+        "config error at bounds.explicit.omega.family: unknown 'cubic'\n")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_failed_estimation_certifies_nothing_and_solves_uncertified(tmp_path):
+    # indefinite2d's sampled acuteness is negative, so no bounds can be estimated
+    cfg = solve_config(tmp_path, problem={"name": "indefinite2d"},
+                       bounds={"mode": "estimated",
+                               "plan": {"n_points": 4, "n_dirs": 8, "refine": False}})
+    rc = write_config(tmp_path, **cfg)
+    assert cli.main(["certify", "--config", rc, "--fixed-clock"]) == 2
+    rep = read_report(tmp_path)
+    assert rep["bounds_note"].startswith("estimation failed: sampled acuteness")
+    assert rep["certificate"] is None and rep["apriori_bounds"] is None
+    assert rep["exit_status"] == 2
+    assert cli.main(["solve", "--config", rc, "--fixed-clock"]) == 3
+    rep = read_report(tmp_path)
+    assert rep["certificate"] is None and rep["verification"] is None
+    assert rep["trace"]["termination"] == "max_iter"
+    assert rep["trace"]["n_steps"] == 300
+    assert all(row["bound_dn"] == "" for row in read_trace(tmp_path))
+
+
+@pytest.mark.parametrize("command, section, key, value, err", [
+    ("certify", "output", "report_path", 5, "output: report_path must be a string, got 5"),
+    ("solve", "method", "vartheta", "1.5", "method: vartheta must be a number, got '1.5'"),
+    ("solve", "method", "vartheta", True, "method: vartheta must be a number, got True"),
+    ("solve", "space", "p", True, "space: p must be a number, got True"),
+    ("solve", "bounds", "explicit", {"nu": "0.8"},
+     "bounds.explicit: nu must be a number, got '0.8'"),
+    ("solve", "bounds", "explicit", {"nu": 0.8, "lam": True},
+     "bounds.explicit: lam must be a number, got True")])
+def test_value_of_another_type_is_refused_before_any_work(tmp_path, capsys, command,
+                                                          section, key, value, err):
+    # each used to run and echo the raw value, or to fail after the work was done
+    cfg = solve_config(tmp_path)
+    cfg[section][key] = value
+    assert cli.main([command, "--config", write_config(tmp_path, **cfg)]) == 1
+    assert capsys.readouterr().err == f"config error at {err}\n"
+    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_trace_path_that_is_an_integer_opens_no_descriptor(tmp_path, capsys):
+    # open() takes an integer as a file descriptor: the trace went into it and closed it
+    fd = os.open(tmp_path / "fd.csv", os.O_WRONLY | os.O_CREAT)
+    cfg = solve_config(tmp_path)
+    cfg["output"]["trace_path"] = fd
+    try:
+        assert cli.main(["solve", "--config", write_config(tmp_path, **cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error at output: trace_path must be a string, got {fd}\n")
+    finally:
+        os.close(fd)  # still open: the run did not take it
+    assert (tmp_path / "fd.csv").read_bytes() == b""
+    assert not (tmp_path / "report.json").exists()
+
+
+_PLAN = {"n_points": 4, "n_dirs": 8, "refine": False}
+
+
+@pytest.mark.parametrize("command, bounds, with_nulls", [
+    ("estimate", {"mode": "estimated"}, {"mode": "estimated", "plan": None}),
+    ("estimate", {"mode": "estimated", "plan": _PLAN},
+     {"mode": "estimated", "plan": dict(_PLAN, seed=None)}),
+    ("certify", {"mode": "explicit", "explicit": {"nu": 0.8}},
+     {"mode": "explicit", "explicit": {"nu": 0.8, "mu": None, "R": None, "omega": None}})],
+    ids=["plan", "plan.seed", "explicit"])
+def test_null_is_a_key_not_given(tmp_path, command, bounds, with_nulls):
+    # null is taken where a key has no default, or for a nested object
+    reports = []
+    for given in (bounds, with_nulls):
+        cfg = solve_config(tmp_path, bounds=given)
+        assert cli.main([command, "--config", write_config(tmp_path, **cfg),
+                         "--fixed-clock"]) == 0
+        reports.append({k: v for k, v in read_report(tmp_path).items() if k != "config"})
+    assert reports[0] == reports[1]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -373,6 +374,90 @@ def test_verify_relaxation_requires_feasible():
     if not cert.feasible:
         with pytest.raises(ArgumentError):
             gc.verify_relaxation(trace, cert)
+
+
+def _understated_lam_run():
+    # lam understated 100x: the certificate is feasible with a tiny r, and the
+    # run's first step is as long as it always was
+    p = gc.linear_spd(1, 4, 2)
+    method = gc.MethodSpec(gc.MIN_RESIDUAL)
+    bounds = p.certified_bounds.bound_data(method, 1.0)
+    bounds = dataclasses.replace(bounds, lam=bounds.lam / 100.0)
+    cert = gc.certify(bounds, 1.0, gc.norm(EUC, p.f(p.x0)))
+    assert cert.feasible
+    return gc.solve(p, method, EUC, STOP, cert, bounds), cert
+
+
+def test_solve_left_ball_when_lam_is_understated():
+    trace, cert = _understated_lam_run()
+    assert trace.termination == "left_ball"
+    assert trace.n_steps == 1
+    assert trace.final.dist_from_center > cert.r
+
+
+def test_verify_relaxation_flags_ball_and_step_when_lam_is_understated():
+    trace, cert = _understated_lam_run()
+    report = gc.verify_relaxation(trace, cert)
+    first, second = trace.steps
+    assert [(v.step, v.kind) for v in report.violations] == [(0, "step"), (1, "ball")]
+    step, ball = report.violations
+    assert step.observed == first.step_norm
+    assert step.allowed == pytest.approx(cert.relaxation.lt * first.res_norm, rel=1e-15)
+    assert ball.observed == second.dist_from_center and ball.allowed == cert.r
+
+
+def test_verify_relaxation_sigma_mismatch_is_argument_error():
+    p = gc.linear_spd(1, 4, 2)
+    _, cert, _ = certified_run(p, gc.MIN_RESIDUAL)
+    trace = gc.solve(p, gc.MethodSpec(gc.BANACH_MIN_RESIDUAL), gc.sequence_p(4), STOP)
+    with pytest.raises(ArgumentError, match="trace sigma 3.0 does not match certificate sigma 1.0"):
+        gc.verify_relaxation(trace, cert)
+
+
+def _scripted_problem(f, jacobian=lambda x: np.eye(1), x0=(0.0,), R=10.0):
+    return gc.Problem(name="scripted", dim=len(x0), f=f, jacobian=jacobian,
+                      x0=np.array(x0), R=R)
+
+
+def test_solve_non_finite_f_at_x0_is_breakdown():
+    p = _scripted_problem(lambda x: np.full_like(x, np.nan))
+    trace = gc.solve(p, gc.MethodSpec(gc.MIN_RESIDUAL), EUC, STOP)
+    assert trace.termination == "breakdown"
+    assert trace.reason == "f(x_0) has non-finite entries"
+    assert trace.n_steps == 0 and math.isnan(trace.final.res_norm)
+
+
+def test_solve_non_finite_f_at_a_later_iterate_is_breakdown():
+    # f(x) = x - 1 at x0 = 0, and inf at the step's landing point x1 = 1
+    p = _scripted_problem(lambda x: x - 1.0 if np.all(x == 0.0) else np.full_like(x, np.inf))
+    trace = gc.solve(p, gc.MethodSpec(gc.MIN_RESIDUAL), EUC, STOP)
+    assert trace.termination == "breakdown"
+    assert trace.reason == "f(x_1) has non-finite entries"
+    assert trace.n_steps == 0 and trace.steps[0].lambda_ == 1.0
+
+
+def test_solve_non_finite_next_iterate_is_breakdown():
+    # a claimed f' = 1e-300 makes the steepest-descent scalar 1e300: x1 = x0 - 1e300 * 1e10
+    p = _scripted_problem(lambda x: x, jacobian=lambda x: 1e-300 * np.eye(1), x0=(1e10,))
+    with np.errstate(over="ignore"):  # the overflowing step is the case under test
+        trace = gc.solve(p, gc.MethodSpec(gc.STEEPEST_DESCENT), EUC, STOP)
+    assert trace.termination == "breakdown"
+    assert trace.reason == "step 0 produced non-finite entries"
+    assert trace.n_steps == 0
+
+
+def test_solve_writes_nan_apost_bound_at_or_above_the_fixed_point():
+    # f = 3x with a claimed f' = 1: each steepest-descent step doubles the residual,
+    # and from 6 on it is at or above the fixed point 4.5 of the bounds' map
+    p = _scripted_problem(lambda x: 3.0 * x, x0=(1.0,), R=100.0)
+    L = 2.0 * (1.0 - 0.5) / 4.5  # phi* = 2 (1 - mu) / (L lt^2) for a Lipschitz omega
+    bounds = gc.BoundData(lam=1.0, theta=1.0, omega=gc.LipschitzModulus(L), R=100.0, mu=0.5)
+    cert = gc.certify(bounds, 1.0, 3.0)
+    assert cert.feasible and cert.phi_star == pytest.approx(4.5, rel=1e-15)
+    trace = gc.solve(p, gc.MethodSpec(gc.STEEPEST_DESCENT), EUC, STOP, cert, bounds)
+    assert trace.res_norms[:3] == [3.0, 6.0, 12.0]
+    assert math.isfinite(trace.steps[0].apost_bound)
+    assert all(math.isnan(s.apost_bound) for s in trace.steps[1:])
 
 
 # --- empirical rates ----------------------------------------------------------------
