@@ -133,23 +133,24 @@ def _resolved(cfg: dict) -> dict:
 
 
 def _build_space(rc: dict) -> spaces.SpaceGeometry:
-    kind = rc["space"]["kind"]
+    """The space l_p of the config's p; kind euclidean is p = 2, and kind sequence_p takes p."""
+    kind, p = rc["space"]["kind"], rc["space"]["p"]
+    if kind not in ("euclidean", "sequence_p"):
+        raise ConfigError(f"config error at space.kind: unknown kind {kind!r}")
+    if kind == "euclidean" and p != 2.0:
+        raise ConfigError(f"config error at space: kind 'euclidean' is p = 2, got p={p}")
     with _at("space"):
-        if kind == spaces.EUCLIDEAN:
-            return spaces.euclidean()
-        if kind == spaces.SEQUENCE_P:
-            return spaces.sequence_p(float(rc["space"]["p"]))
-    raise ConfigError(f"config error at space.kind: unknown kind {kind!r}")
+        return spaces.SpaceGeometry(float(p))
 
 
 def _build(rc: dict) -> tuple[problems.Problem, spaces.SpaceGeometry, methods.MethodSpec]:
     """The problem, space and method of a run, with the method checked against the space."""
+    space = _build_space(rc)
     name = rc["problem"]["name"]
     if not name:
         raise ConfigError("config error at problem.name: required")
     with _at("problem"):
         problem = problems.make_problem(name, **rc["problem"]["params"])
-    space = _build_space(rc)
     fam = rc["method"]["family"]
     if not fam:
         raise ConfigError("config error at method.family: required")
@@ -189,8 +190,7 @@ def _explicit_bounds(rc: dict, problem, method) -> majorant.BoundData:
         mu_nu = {k: float(ex[k]) for k in ("mu", "nu") if ex[k] is not None}
         return majorant.BoundData(
             lam=float(ex["lam"]), theta=float(ex["theta"]), omega=omega,
-            R=float(problem.R if ex["R"] is None else ex["R"]),
-            step_family=method.mu_family, vartheta=method.effective_vartheta, **mu_nu)
+            R=float(problem.R if ex["R"] is None else ex["R"]), method=method, **mu_nu)
 
 
 def _resolve_bounds(rc, problem, method, space):
@@ -276,7 +276,8 @@ def _certified(rc: dict):
     bounds, bounds_note = _resolve_bounds(rc, problem, method, space)
     cert = None
     if bounds is not None:
-        a = spaces.norm(space, np.asarray(problem.f(problem.x0), float))
+        with np.errstate(over="ignore"):  # certify refuses a residual norm that overflowed
+            a = spaces.norm(space, np.asarray(problem.f(problem.x0), float))
         cert = majorant.certify(bounds, space.sigma, a)
     return problem, space, method, bounds_note, cert
 
@@ -396,7 +397,7 @@ def cmd_verify_space(rc: dict, fixed_clock: bool) -> int:
 def cmd_list_problems() -> int:
     rows = [{
         "name": p.name,
-        "dim": p.dim,
+        "dim": len(p.x0),
         "R": p.R,
         "default_params": _jsonable(p.params),
         "has_certified_bounds": p.certified_bounds is not None,

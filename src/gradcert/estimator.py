@@ -51,8 +51,7 @@ from .errors import ArgumentError, AssumptionError
 from .majorant import BoundData, LipschitzModulus
 from .methods import MethodSpec
 # bench/tracer.py wraps norm, norm_rows and semiscalar_rows as globals of this module
-from .spaces import (EUCLIDEAN, SpaceGeometry, norm, norm_duality_rows, norm_rows,
-                     semiscalar_rows)
+from .spaces import SpaceGeometry, norm, norm_duality_rows, norm_rows, semiscalar_rows
 
 
 @dataclass(frozen=True)
@@ -208,14 +207,13 @@ class _StepRatio:
 
     def __init__(self, space, method: MethodSpec):
         self.space, self.sigma = space, space.sigma
-        self.minimal_quadratic = method.mu_family == "min"
-        self.th = method.effective_vartheta
+        self.minimising, self.th = method.minimising, method.effective_vartheta
 
     def score(self, H, W, terms):
         """The ratio of each row h of H and its image row Bh in W."""
         nh, duality = terms
         num = semiscalar_rows(self.space, H, W, duality)
-        if self.minimal_quadratic:
+        if self.minimising:
             with np.errstate(over="ignore"):
                 den = self.sigma * norm_rows(self.space, W) ** 2
             if np.isinf(den).any():  # W is finite: a norm above about 1.34e154
@@ -304,9 +302,7 @@ def _polish(objective, images, space, center, r, x, h, path=None):
 
 def _induced_scale(space: SpaceGeometry, m: int) -> float:
     """Factor taking a spectral norm to an upper bound of the p -> p norm."""
-    if space.kind == EUCLIDEAN or space.p == 2.0:
-        return 1.0
-    return m ** abs(0.5 - 1.0 / space.p)
+    return m ** abs(0.5 - 1.0 / space.p)  # exactly 1.0 in Euclidean space
 
 
 def _matrix_norm(space: SpaceGeometry, M: np.ndarray) -> float:
@@ -493,15 +489,13 @@ def estimate_nu_trajectory(problem, method: MethodSpec, space: SpaceGeometry,
 
 # span target "estimator.omega_lipschitz" of bench/tracer.py
 def estimate_omega_lipschitz(problem, r: float, plan: SamplePlan,
-                             space: SpaceGeometry | None = None) -> float:
+                             space: SpaceGeometry = SpaceGeometry()) -> float:
     """Lower estimate of the Jacobian Lipschitz constant over the ball.
 
     Pairs along each coordinate axis are always included, which recovers
     the exact constant for Jacobians whose worst variation is axis-aligned.
     Needs no method, so it samples the ball points alone.
     """
-    if space is None:
-        space = SpaceGeometry(EUCLIDEAN)
     _check_radius(problem, r)
     rng = np.random.default_rng(plan.seed)
     center = np.asarray(problem.x0, dtype=float)
@@ -542,5 +536,4 @@ def estimated_bound_data(problem, method: MethodSpec, space: SpaceGeometry,
         raise AssumptionError("sampled step-size bound is unbounded")
     return BoundData(
         lam=est.lambda_tilde, theta=est.theta, omega=LipschitzModulus(est.lipschitz()),
-        R=problem.R, nu=min(nu, 1.0), step_family=method.mu_family,
-        vartheta=method.effective_vartheta)
+        R=problem.R, nu=min(nu, 1.0), method=method)

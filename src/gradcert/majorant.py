@@ -30,11 +30,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .errors import ArgumentError, AssumptionError, DivergenceError
+
+if TYPE_CHECKING:  # methods imports this module
+    from .methods import MethodSpec
 
 _SERIES_RTOL = 1e-12
 _SERIES_CAP = 1_000_000
@@ -183,8 +186,8 @@ class BoundData:
 
     ``lam`` and ``theta`` bound the step scalar and ||T(x)|| over the ball
     of radius r.  The contraction factor is either given directly (``mu``)
-    or derived from an acuteness bound (``nu``) through the step family tag
-    ("min" or "altman") and the space constant sigma at evaluation time.
+    or derived from an acuteness bound (``nu``) by the method's contraction
+    rule, ``method.mu(nu, sigma)``, at evaluation time; nu needs the method.
     All of ``lam``/``theta``/``mu``/``nu`` may be constants or functions
     of r; lam/theta/mu must be nondecreasing and nu nonincreasing.
     """
@@ -195,16 +198,15 @@ class BoundData:
     R: float
     mu: float | Callable[[float], float] | None = None
     nu: float | Callable[[float], float] | None = None
-    step_family: str | None = None
-    vartheta: float = 1.0
+    method: MethodSpec | None = None
 
     def __post_init__(self):
         if not (self.R > 0.0 and np.isfinite(self.R)):
             raise ArgumentError("ball radius R must be positive and finite")
         if self.mu is None and self.nu is None:
             raise ArgumentError("BoundData needs mu or nu")
-        if self.mu is None and self.step_family not in ("min", "altman"):
-            raise ArgumentError("nu-based bounds need step_family 'min' or 'altman'")
+        if self.mu is None and self.method is None:
+            raise ArgumentError("nu-based bounds need the method whose contraction rule applies")
 
     def lam_at(self, r: float) -> float:
         return _read("lam", self.lam, r)
@@ -216,13 +218,10 @@ class BoundData:
         return float(_as_fn(self.nu)(r))
 
     def mu_at(self, r: float, sigma: float) -> float:
-        """mu(r), derived from nu via the step family when not given directly."""
+        """mu(r), derived from nu by the method's contraction rule when not given directly."""
         if self.mu is not None:
             return _read("mu", self.mu, r)
-        nu = self.nu_at(r)
-        if self.step_family == "min":
-            return mu_min_family(nu, sigma)
-        return mu_altman_family(nu, self.vartheta, sigma)
+        return self.method.mu(self.nu_at(r), sigma)
 
     def validate(self, sigma: float = 1.0) -> None:
         """Grid-check the monotonicity assumptions; raises ArgumentError."""

@@ -23,7 +23,7 @@ import numpy as np
 from . import majorant
 from .errors import ArgumentError, BreakdownError, DivergenceError
 # bench/tracer.py wraps norm as a global of this module
-from .spaces import EUCLIDEAN, SpaceGeometry, norm, semiscalar
+from .spaces import SpaceGeometry, norm, semiscalar
 
 MIN_RESIDUAL = "min_residual"
 MIN_CO_ERROR = "min_co_error"
@@ -81,14 +81,20 @@ class MethodSpec:
         return _RULES[self.family].adjoint
 
     @property
-    def mu_family(self) -> str:
-        """Which contraction-factor formula applies: 'min' or 'altman'."""
-        return "min" if _RULES[self.family].minimising else "altman"
+    def minimising(self) -> bool:
+        """Whether the step scalar is the quadratic-minimising one, else the relaxed one."""
+        return _RULES[self.family].minimising
 
     @property
     def effective_vartheta(self) -> float:
         # steepest descent and minimal errors are the vartheta = 1 cases
         return self.vartheta if _RULES[self.family].relaxed else 1.0
+
+    def mu(self, nu: float, sigma: float) -> float:
+        """This rule's contraction factor at acuteness nu, in a space with constant sigma."""
+        if self.minimising:
+            return majorant.mu_min_family(nu, sigma)
+        return majorant.mu_altman_family(nu, self.effective_vartheta, sigma)
 
     def check_space(self, space: SpaceGeometry) -> None:
         """Reject incompatible geometry as a typed configuration error.
@@ -97,7 +103,7 @@ class MethodSpec:
         and the inner-product step formulas presuppose the Euclidean norm,
         so only the semiscalar families may run in l_p with p > 2.
         """
-        if space.kind == EUCLIDEAN or space.p == 2.0:
+        if space.p == 2.0:
             return
         if self.uses_adjoint:
             raise ArgumentError(
@@ -110,8 +116,11 @@ class MethodSpec:
 
 
 def _sq(space: SpaceGeometry, v: np.ndarray) -> float:
-    """||v||^2; the plain dot product in Euclidean space."""
-    return float(v @ v) if space.kind == EUCLIDEAN else norm(space, v) ** 2
+    """||v||^2; the plain dot product in Euclidean space, and inf where it overflows."""
+    try:
+        return float(v @ v) if space.p == 2.0 else norm(space, v) ** 2
+    except OverflowError:  # n ** 2 raises where n * n gives inf, but n * n rounds differently
+        return math.inf
 
 
 def _image(family: str, v: np.ndarray, name: str) -> np.ndarray:
@@ -131,9 +140,10 @@ def step_direction(method: MethodSpec, space: SpaceGeometry, problem,
     for T = f'^T; the space supplies [., .], ||.|| and sigma.
 
     Raises BreakdownError when an image such as f'(x) f(x) or f'(x)^T f(x)
-    is not finite, and when the step denominator falls below 1e-14 of its
-    natural scale or the step scalar is negative, which means the
-    positive-pairing assumption fails.
+    is not finite or a norm or pairing overflows (numpy warns of it unless
+    muted, as ``solve`` does), and when the step denominator falls below
+    1e-14 of its natural scale or the step scalar is negative, which means
+    the positive-pairing assumption fails.
     """
     method.check_space(space)
     J = np.asarray(problem.jacobian(x), dtype=float)
@@ -154,6 +164,8 @@ def step_direction(method: MethodSpec, space: SpaceGeometry, problem,
         num, den = _sq(space, fx), method.effective_vartheta * pairing
         scale = norm(space, fx) * norm(space, g)
 
+    if not all(map(math.isfinite, (num, den, scale))):  # the vectors are finite: an overflow
+        raise BreakdownError(f"{fam}: a step norm or pairing overflowed")
     if not (den > _EPS_BREAKDOWN * scale):
         raise BreakdownError(
             f"{fam}: step denominator {den:.3e} below breakdown threshold "
@@ -201,10 +213,6 @@ class IterationTrace:
     reason: str | None = None
 
     @property
-    def sigma(self) -> float:
-        return self.space.sigma
-
-    @property
     def n_steps(self) -> int:
         return len(self.steps) - 1
 
@@ -221,6 +229,7 @@ class IterationTrace:
         return self.steps[-1]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is recorded as a breakdown
 def solve(problem, method: MethodSpec, space: SpaceGeometry, stop: StopRule,
           certificate: majorant.MajorantCertificate | None = None,
           bounds: majorant.BoundData | None = None) -> IterationTrace:
@@ -230,13 +239,16 @@ def solve(problem, method: MethodSpec, space: SpaceGeometry, stop: StopRule,
     reproducible.  With a certificate attached the ball radius is the
     certified r and every row also carries the running residual majorant
     d^(n)(r, a) and the a posteriori error bound at the observed residual,
-    both from the certificate's relaxation map; ``bounds`` must be its bound data.
+    both from the certificate's relaxation map; ``bounds`` must be its bound
+    data, and for this method if they name one.  An overflow is a breakdown.
     """
     if (certificate is None) != (bounds is None):
         raise ArgumentError("certificate and bounds must be supplied together")
     rmap = certificate.relaxation_map() if certificate is not None else None
     if rmap is not None and bounds is not rmap.bounds:
         raise ArgumentError("bounds are not those the certificate was built from")
+    if bounds is not None and bounds.method not in (None, method):
+        raise ArgumentError(f"the certificate's bounds are for {bounds.method}, not {method}")
     method.check_space(space)
     x = np.array(problem.x0, dtype=float)
     x0 = x.copy()
@@ -332,9 +344,9 @@ def verify_relaxation(trace: IterationTrace,
     """
     if not cert.feasible:
         raise ArgumentError("verification requires a feasible certificate")
-    if trace.sigma != cert.sigma:
+    if trace.space.sigma != cert.sigma:
         raise ArgumentError(
-            f"trace sigma {trace.sigma} does not match certificate sigma {cert.sigma}")
+            f"trace sigma {trace.space.sigma} does not match certificate sigma {cert.sigma}")
     a0 = trace.steps[0].res_norm
     if abs(a0 - cert.a) > 1e-9 * max(1.0, abs(cert.a)):
         raise ArgumentError(

@@ -66,20 +66,19 @@ class CertifiedBounds:
                 f"(sigma=1); got sigma={sigma}. Use estimated bounds for p > 2.")
         op = self.t_adjoint if method.uses_adjoint else self.t_identity
         th = method.effective_vartheta
-        if method.mu_family == "min":
+        if method.minimising:
             lam = op.lam_min
         elif callable(op.lam_relaxed):
             lam = lambda r, _lam=op.lam_relaxed: _lam(r) / th
         else:
             lam = op.lam_relaxed / th
         return BoundData(lam=lam, theta=op.theta, omega=self.omega, R=self.R, nu=op.nu,
-                         step_family=method.mu_family, vartheta=th)
+                         method=method)
 
 
 @dataclass(frozen=True)
 class Problem:
     name: str
-    dim: int
     f: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
     x0: np.ndarray
@@ -146,13 +145,12 @@ def linear_spd(m: float = 1.0, M: float = 4.0, dim: int = 2, b=None, x0=None,
     if b.shape != (dim,) or x0.shape != (dim,):
         raise ArgumentError("b and x0 must have length dim")
     x_star = np.linalg.solve(A, b)
-    a = float(np.linalg.norm(A @ x0 - b))
     if R is None:
+        a = float(np.linalg.norm(A @ x0 - b))
         R = _linear_ball_radius(m, M, max(a, 1e-12), float(np.linalg.norm(x0 - x_star)))
     nu_id, nu_adj = _antieigenvalues(m, M)
     return Problem(
-        name="linear_spd", dim=dim,
-        f=lambda x, _A=A, _b=b: _A @ x - _b,
+        name="linear_spd", f=lambda x, _A=A, _b=b: _A @ x - _b,
         **_affine(A),
         x0=x0, R=float(R), known_solution=x_star,
         certified_bounds=CertifiedBounds(
@@ -211,8 +209,7 @@ def quad2d() -> Problem:
 
     # J h = h - 0.2 (x1 h1, x0 h0) and J^T h = h - 0.2 (x0 h1, x1 h0)
     return Problem(
-        name="quad2d", dim=2,
-        f=lambda x: np.array([x[0] - 0.1 * x[1] ** 2, x[1] - 0.1 * x[0] ** 2]),
+        name="quad2d", f=lambda x: np.array([x[0] - 0.1 * x[1] ** 2, x[1] - 0.1 * x[0] ** 2]),
         jacobian=lambda x: np.array([[1.0, -0.2 * x[1]], [-0.2 * x[0], 1.0]]),
         jvp=lambda X, H: H - 0.2 * X[..., ::-1] * H[:, ::-1],
         vjp=lambda X, H: H - 0.2 * X * H[:, ::-1],
@@ -252,8 +249,7 @@ def scalar_quad(c: float = 0.1, x0: float = 0.0, R: float = 5.0) -> Problem:
         return 1.0 / fprime_min(r) ** 2
 
     return Problem(
-        name="scalar_quad", dim=1,
-        f=lambda x, _c=c: np.array([x[0] - 0.05 * x[0] ** 2 - _c]),
+        name="scalar_quad", f=lambda x, _c=c: np.array([x[0] - 0.05 * x[0] ** 2 - _c]),
         jacobian=lambda x: np.array([[1.0 - 0.1 * x[0]]]),
         jvp=lambda X, H: (1.0 - 0.1 * X) * H,
         vjp=lambda X, H: (1.0 - 0.1 * X) * H,
@@ -316,7 +312,7 @@ def chandrasekhar(c: float = 0.5, n: int = 20, R: float = 2.0) -> Problem:
         return H - ((s * s) * H) @ _K
 
     return Problem(
-        name="chandrasekhar", dim=n, f=f, jacobian=jacobian, jvp=jvp, vjp=vjp,
+        name="chandrasekhar", f=f, jacobian=jacobian, jvp=jvp, vjp=vjp,
         x0=np.ones(n), R=float(R) * math.sqrt(n / 20), known_solution=None,
         certified_bounds=None, params={"c": c, "n": n})
 
@@ -325,8 +321,7 @@ def indefinite2d() -> Problem:
     """f(x) = (x1, -x2): the pairing (h, f'h) changes sign, so no step family applies."""
     A = np.diag([1.0, -1.0])
     return Problem(
-        name="indefinite2d", dim=2,
-        f=lambda x, _A=A: _A @ x,
+        name="indefinite2d", f=lambda x, _A=A: _A @ x,
         **_affine(A),
         x0=np.array([1.0, 1.0]), R=4.0, known_solution=np.zeros(2),
         certified_bounds=None, params={})
@@ -431,7 +426,7 @@ def validate_jacobian(problem: Problem, seed: int = 0) -> JacobianReport:
     relative to the largest entry of the product.
     """
     rng = np.random.default_rng(seed)
-    dim = problem.dim
+    dim = len(problem.x0)
     eps3 = float(np.finfo(float).eps) ** (1.0 / 3.0)
     worst = 0.0
     worst_point = None

@@ -28,35 +28,31 @@ import numpy as np
 
 from .errors import ArgumentError
 
-EUCLIDEAN = "euclidean"
-SEQUENCE_P = "sequence_p"
+_TINY = float(np.finfo(float).tiny)  # the least normal double
 
 
 @dataclass(frozen=True)
 class SpaceGeometry:
-    """Ambient-space descriptor. ``p`` is only meaningful for ``sequence_p``."""
+    """The space l_p, p >= 2, of finite dimension; p = 2 is Euclidean space, with dot products."""
 
-    kind: str
     p: float = 2.0
 
     def __post_init__(self):
-        if self.kind not in (EUCLIDEAN, SEQUENCE_P):
-            raise ArgumentError(f"unknown space kind {self.kind!r}")
-        if self.kind == SEQUENCE_P and not (np.isfinite(self.p) and self.p >= 2.0):
-            raise ArgumentError(f"sequence_p requires p >= 2, got p={self.p}")
+        if not 2.0 <= self.p < math.inf:
+            raise ArgumentError(f"a space needs a finite p >= 2, got p={self.p}")
 
     @property
     def sigma(self) -> float:
-        """Sharp constant of the quadratic norm inequality (p - 1 for l_p)."""
-        return 1.0 if self.kind == EUCLIDEAN else self.p - 1.0
+        """Sharp constant of the quadratic norm inequality: p - 1, so 1 in Euclidean space."""
+        return self.p - 1.0
 
 
 def euclidean() -> SpaceGeometry:
-    return SpaceGeometry(EUCLIDEAN)
+    return SpaceGeometry(2.0)
 
 
 def sequence_p(p: float) -> SpaceGeometry:
-    return SpaceGeometry(SEQUENCE_P, float(p))
+    return SpaceGeometry(float(p))
 
 
 def _arr(x) -> np.ndarray:
@@ -88,10 +84,12 @@ def norm(space: SpaceGeometry, x) -> float:
     only case a non-finite entry can produce.
     """
     v = _arr(x)
-    if space.kind == EUCLIDEAN:
-        # what np.linalg.norm computes for a real vector, bit for bit
+    if space.p == 2.0:
+        # what np.linalg.norm computes for a real vector, bit for bit, unless
+        # the sum of squares underflows: then rescaled, as the l_p norm is
         w = v.ravel(order="K")
-        nv = math.sqrt(w.dot(w))
+        s = w.dot(w)
+        nv = math.sqrt(s) if s >= _TINY else _pnorm(v, 2.0)
     else:
         nv = _pnorm(v, space.p)
     if not math.isfinite(nv):
@@ -110,7 +108,7 @@ def semiscalar(space: SpaceGeometry, x, y) -> float:
     yv = _arr(y)
     if xv.shape != yv.shape:
         raise ArgumentError("semiscalar arguments must have equal dimension")
-    if space.kind == EUCLIDEAN:
+    if space.p == 2.0:
         s = float(xv @ yv)
     else:
         m = float(np.max(np.abs(xv)))
@@ -152,7 +150,7 @@ def _scaled_rows(p: float, X: np.ndarray):
 
 
 def norm_rows(space: SpaceGeometry, X: np.ndarray) -> np.ndarray:
-    if space.kind == EUCLIDEAN:
+    if space.p == 2.0:
         # the formula of np.linalg.norm(X, axis=1), without its dispatch
         return np.sqrt(_row_sum(X * X))
     m, _, s = _scaled_rows(space.p, X)
@@ -166,7 +164,7 @@ def norm_duality_rows(space: SpaceGeometry, X: np.ndarray):
     entry (a mask, or a full slice if all have one) and their J x = c * w,
     rescaled as in ``semiscalar``.  It serves each Y paired with X.
     """
-    if space.kind == EUCLIDEAN:
+    if space.p == 2.0:
         return norm_rows(space, X), None
     m, U, s = _scaled_rows(space.p, X)
     p, nu_ = space.p, s ** (1.0 / space.p)
@@ -177,7 +175,7 @@ def norm_duality_rows(space: SpaceGeometry, X: np.ndarray):
 def semiscalar_rows(space: SpaceGeometry, X: np.ndarray, Y: np.ndarray,
                     duality=None) -> np.ndarray:
     """[x, y] for each row pair; ``duality`` is ``norm_duality_rows(space, X)[1]`` if known."""
-    if space.kind == EUCLIDEAN:
+    if space.p == 2.0:
         return np.einsum("ij,ij->i", X, Y)
     nz, c, W = norm_duality_rows(space, X)[1] if duality is None else duality
     out = np.zeros(len(X))

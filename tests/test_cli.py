@@ -432,7 +432,7 @@ def test_explicit_omega_family_builds_its_modulus(tmp_path, omega, modulus):
     cert = read_report(tmp_path)["certificate"]
     p = gc.linear_spd(1, 4, 2)
     bounds = gc.BoundData(lam=1.0, theta=1.0, omega=modulus(), R=p.R, nu=0.8,
-                          step_family="min")
+                          method=gc.MethodSpec(gc.MIN_RESIDUAL))
     expected = gc.certify(bounds, 1.0, gc.norm(gc.euclidean(), p.f(p.x0)))
     assert cert["feasible"] and cert["r"] == expected.r
     # a nonzero modulus needs a wider ball than the default omega = 0
@@ -525,3 +525,61 @@ def test_null_is_a_key_not_given(tmp_path, command, bounds, with_nulls):
                          "--fixed-clock"]) == 0
         reports.append({k: v for k, v in read_report(tmp_path).items() if k != "config"})
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("space, err", [
+    ({"p": 4.0}, "space: kind 'euclidean' is p = 2, got p=4.0"),
+    ({"kind": "euclidean", "p": 4.0}, "space: kind 'euclidean' is p = 2, got p=4.0"),
+    ({"kind": "sequence_p", "p": 1.5}, "space: a space needs a finite p >= 2, got p=1.5"),
+    ({"kind": "lp", "p": 4.0}, "space.kind: unknown kind 'lp'")],
+    ids=["p-alone", "euclidean-p4", "p-below-2", "unknown-kind"])
+@pytest.mark.parametrize("command", ["solve", "certify", "estimate", "verify-space"])
+def test_a_space_whose_kind_and_p_disagree_is_refused_before_any_work(
+        tmp_path, capsys, monkeypatch, command, space, err):
+    # "p": 4.0 alone used to run in Euclidean space and echo p 4.0 in the report
+    monkeypatch.setattr(cli.problems, "make_problem", lambda *a, **k: pytest.fail("work ran"))
+    cfg = solve_config(tmp_path, space=space)
+    assert cli.main([command, "--config", write_config(tmp_path, **cfg)]) == 1
+    assert capsys.readouterr().err == f"config error at {err}\n"
+    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_sequence_p_at_p_2_is_euclidean_space(tmp_path):
+    # the same space, so the same kernels and the same bits
+    outputs = []
+    for space in ({"kind": "euclidean"}, {"kind": "sequence_p", "p": 2}):
+        cfg = solve_config(tmp_path, space=space, method={"family": "banach_min_residual"})
+        assert cli.main(["solve", "--config", write_config(tmp_path, **cfg),
+                         "--fixed-clock"]) == 0
+        report = read_report(tmp_path)
+        assert report.pop("config")["space"] == dict(space, p=space.get("p", 2.0))
+        outputs.append((report, (tmp_path / "trace.csv").read_text()))
+    assert outputs[0] == outputs[1]
+
+
+_OVERFLOWING_START = {"name": "linear_spd",
+                      "params": {"m": 1, "M": 4, "dim": 2, "x0": [1e160, 1e160], "R": 1e200}}
+
+
+def test_overflowing_step_norms_end_in_breakdown_with_a_report(tmp_path):
+    # the squared l_4 norm of f'(x0) f(x0) used to raise an untyped OverflowError
+    cfg = solve_config(tmp_path, problem=_OVERFLOWING_START,
+                       method={"family": "banach_min_residual"},
+                       space={"kind": "sequence_p", "p": 4.0},
+                       bounds={"mode": "explicit", "explicit": {"nu": 0.5}})
+    assert cli.main(["solve", "--config", write_config(tmp_path, **cfg), "--fixed-clock"]) == 4
+    rep = read_report(tmp_path)
+    assert rep["exit_status"] == 4 and rep["trace"]["termination"] == "breakdown"
+    assert rep["trace"]["reason"].startswith(
+        "banach_min_residual: a step norm or pairing overflowed")
+    assert len(read_trace(tmp_path)) == 1
+
+
+def test_an_overflowing_start_residual_norm_is_refused_without_a_warning(tmp_path, capsys):
+    # the Euclidean norm of f(x0) overflows to inf, which certify refuses
+    cfg = solve_config(tmp_path, problem=_OVERFLOWING_START,
+                       bounds={"mode": "explicit", "explicit": {"nu": 0.5}})
+    assert cli.main(["solve", "--config", write_config(tmp_path, **cfg)]) == 1
+    assert capsys.readouterr().err == (
+        "error: initial residual norm a must be finite and nonnegative\n")

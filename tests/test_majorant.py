@@ -466,9 +466,10 @@ def test_rate_bounds_examples():
 def test_bound_data_requires_mu_or_nu():
     with pytest.raises(ArgumentError):
         gc.BoundData(lam=1.0, theta=1.0, omega=gc.LipschitzModulus(0.0), R=1.0)
-    with pytest.raises(ArgumentError):
-        gc.BoundData(lam=1.0, theta=1.0, omega=gc.LipschitzModulus(0.0), R=1.0,
-                     nu=0.5, step_family="bogus")
+    # nu gives mu only through a method's contraction rule
+    with pytest.raises(ArgumentError, match="need the method"):
+        gc.BoundData(lam=1.0, theta=1.0, omega=gc.LipschitzModulus(0.0), R=1.0, nu=0.5)
+    gc.BoundData(lam=1.0, theta=1.0, omega=gc.LipschitzModulus(0.0), R=1.0, mu=0.5)
 
 
 def test_bound_data_monotonicity_checked():
@@ -478,15 +479,31 @@ def test_bound_data_monotonicity_checked():
         bad.validate()
     good = gc.BoundData(lam=lambda r: 1.0 + r, theta=1.0,
                         omega=gc.LipschitzModulus(1.0), R=1.0,
-                        nu=lambda r: 1.0 / (1.0 + r), step_family="min")
+                        nu=lambda r: 1.0 / (1.0 + r), method=gc.MethodSpec(gc.MIN_RESIDUAL))
     good.validate()
 
 
 def test_mu_derivation_uses_sigma():
     b = gc.BoundData(lam=1.0, theta=1.0, omega=gc.LipschitzModulus(0.0), R=1.0,
-                     nu=0.8, step_family="min")
+                     nu=0.8, method=gc.MethodSpec(gc.MIN_RESIDUAL))
     assert b.mu_at(0.5, 1.0) == pytest.approx(0.6, rel=1e-12)
     assert b.mu_at(0.5, 2.0) == pytest.approx(math.sqrt(1 - 0.32), rel=1e-12)
+
+
+@pytest.mark.parametrize("family, vartheta", [
+    (gc.MIN_RESIDUAL, 1.0), (gc.MIN_CO_ERROR, 1.0), (gc.STEEPEST_DESCENT, 1.0),
+    (gc.ALTMAN_STEEPEST_DESCENT, 1.7), (gc.ALTMAN_MIN_ERROR, 0.9),
+    (gc.BANACH_ALTMAN_STEEPEST_DESCENT, 1.3)])
+def test_mu_derivation_is_the_method_contraction_rule(family, vartheta):
+    # one rule: mu_min_family for a minimising step, and mu_altman_family at the
+    # method's own vartheta for a relaxed one
+    method = gc.MethodSpec(family, vartheta)
+    b = gc.BoundData(lam=1.0, theta=1.0, omega=gc.LipschitzModulus(0.0), R=1.0,
+                     nu=0.95, method=method)
+    for sigma in (1.0, 1.5):
+        want = (gc.mu_min_family(0.95, sigma) if method.minimising
+                else gc.mu_altman_family(0.95, vartheta, sigma))
+        assert b.mu_at(0.5, sigma) == method.mu(0.95, sigma) == want
 
 
 # --- upper-bounding series and closed-form fixed points -----------------------------

@@ -61,7 +61,7 @@ def test_min_residual_step_minimizes_residual_of_linearization():
         dim = rng.integers(2, 5)
         A = rng.standard_normal((dim, dim))
         A = A @ A.T + dim * np.eye(dim)  # SPD, comfortably positive
-        p = gc.Problem(name="t", dim=int(dim), f=lambda x, A=A: A @ x,
+        p = gc.Problem(name="t", f=lambda x, A=A: A @ x,
                        jacobian=lambda x, A=A: A.copy(),
                        x0=np.ones(dim), R=100.0)
         x = rng.standard_normal(dim)
@@ -133,7 +133,7 @@ def test_step_direction_matches_paper_table(family, vartheta, p):
     rng = np.random.default_rng(8)
     dim = 4
     A = 3.0 * np.eye(dim) + 0.5 * rng.standard_normal((dim, dim))  # nonsymmetric
-    prob = gc.Problem(name="t", dim=dim, f=lambda x: A @ x - 1.0,
+    prob = gc.Problem(name="t", f=lambda x: A @ x - 1.0,
                       jacobian=lambda x: A.copy(), x0=np.zeros(dim), R=10.0)
     for _ in range(10):
         x = rng.standard_normal(dim)
@@ -169,7 +169,7 @@ def _inf_jacobian_problem(dim=3):
         J = 2.0 * np.eye(dim)
         J[0, 1] = np.inf
         return J
-    return gc.Problem(name="inf_jacobian", dim=dim, f=lambda x: 2.0 * x - 1.0,
+    return gc.Problem(name="inf_jacobian", f=lambda x: 2.0 * x - 1.0,
                       jacobian=jacobian, x0=np.zeros(dim), R=10.0)
 
 
@@ -234,14 +234,14 @@ def test_contraction_ratio_bounds_diag14():
 
 
 def test_banach_p2_trace_matches_hilbert():
+    # l_2 is Euclidean space: the same kernels, so the same bits
     p = gc.linear_spd(1, 4, 2)
     tr_h = gc.solve(p, gc.MethodSpec(gc.MIN_RESIDUAL), EUC, STOP)
     tr_b = gc.solve(p, gc.MethodSpec(gc.BANACH_MIN_RESIDUAL), gc.sequence_p(2), STOP)
     assert tr_h.n_steps == tr_b.n_steps
-    for a, b in zip(tr_h.iterates, tr_b.iterates):
-        np.testing.assert_allclose(a, b, atol=1e-12)
-    for ra, rb in zip(tr_h.res_norms, tr_b.res_norms):
-        assert ra == pytest.approx(rb, abs=1e-12)
+    assert all(np.array_equal(a, b) for a, b in zip(tr_h.iterates, tr_b.iterates))
+    assert tr_h.res_norms == tr_b.res_norms
+    assert [s.lambda_ for s in tr_h.steps[:-1]] == [s.lambda_ for s in tr_b.steps[:-1]]
 
 
 def test_solve_breakdown_termination():
@@ -296,7 +296,7 @@ def test_a_certificate_without_a_map_is_an_argument_error():
     # an infeasible certificate whose map could not be built: nu below the
     # relaxed step's validity threshold sqrt(1/2) gives mu >= 1 at every radius
     altman = gc.BoundData(lam=1.0, theta=1.0, omega=gc.LipschitzModulus(0.0), R=1.0,
-                          nu=0.5, step_family="altman")
+                          nu=0.5, method=gc.MethodSpec(gc.STEEPEST_DESCENT))
     infeasible = gc.certify(altman, 1.0, 0.1)
     assert not infeasible.feasible and infeasible.relaxation is None
     with pytest.raises(ArgumentError, match="no relaxation map"):
@@ -415,8 +415,7 @@ def test_verify_relaxation_sigma_mismatch_is_argument_error():
 
 
 def _scripted_problem(f, jacobian=lambda x: np.eye(1), x0=(0.0,), R=10.0):
-    return gc.Problem(name="scripted", dim=len(x0), f=f, jacobian=jacobian,
-                      x0=np.array(x0), R=R)
+    return gc.Problem(name="scripted", f=f, jacobian=jacobian, x0=np.array(x0), R=R)
 
 
 def test_solve_non_finite_f_at_x0_is_breakdown():
@@ -438,12 +437,37 @@ def test_solve_non_finite_f_at_a_later_iterate_is_breakdown():
 
 def test_solve_non_finite_next_iterate_is_breakdown():
     # a claimed f' = 1e-300 makes the steepest-descent scalar 1e300: x1 = x0 - 1e300 * 1e10
+    # with no numpy warning: tier-1 turns a RuntimeWarning into an error
     p = _scripted_problem(lambda x: x, jacobian=lambda x: 1e-300 * np.eye(1), x0=(1e10,))
-    with np.errstate(over="ignore"):  # the overflowing step is the case under test
-        trace = gc.solve(p, gc.MethodSpec(gc.STEEPEST_DESCENT), EUC, STOP)
+    trace = gc.solve(p, gc.MethodSpec(gc.STEEPEST_DESCENT), EUC, STOP)
     assert trace.termination == "breakdown"
     assert trace.reason == "step 0 produced non-finite entries"
     assert trace.n_steps == 0
+
+
+@pytest.mark.parametrize("space", [EUC, gc.sequence_p(4)], ids=["euclidean", "p4"])
+def test_solve_overflowing_norms_are_breakdown(space):
+    # finite iterates near 1e160 whose squared norms and pairings overflow; the
+    # breakdown names the overflow, with no numpy warning
+    p = gc.linear_spd(1, 4, 2, x0=[1e160, 1e160], R=1e200)
+    for fam in gc.ALL_FAMILIES if space == EUC else gc.BANACH_FAMILIES:
+        trace = gc.solve(p, gc.MethodSpec(fam), space, STOP)
+        assert trace.termination == "breakdown", fam
+        assert trace.reason.startswith(f"{fam}: a step norm or pairing overflowed"), fam
+        assert trace.n_steps == 0
+
+
+def test_solve_refuses_bounds_certified_for_another_method():
+    p = gc.linear_spd(1, 4, 2)
+    method = gc.MethodSpec(gc.MIN_RESIDUAL)
+    bounds = p.certified_bounds.bound_data(method, 1.0)
+    cert = gc.certify(bounds, 1.0, gc.norm(EUC, p.f(p.x0)))
+    assert cert.feasible and bounds.method is method
+    for other in (gc.MethodSpec(gc.STEEPEST_DESCENT), gc.MethodSpec(gc.BANACH_MIN_RESIDUAL)):
+        with pytest.raises(ArgumentError, match="bounds are for MethodSpec"):
+            gc.solve(p, other, EUC, STOP, cert, bounds)
+    trace = gc.solve(p, gc.MethodSpec(gc.MIN_RESIDUAL), EUC, STOP, cert, bounds)
+    assert trace.termination == "converged" and gc.verify_relaxation(trace, cert).ok
 
 
 def test_solve_writes_nan_apost_bound_at_or_above_the_fixed_point():

@@ -37,7 +37,7 @@ def reference_acute_ratio(space, h, B):
 
 
 def reference_step_ratio(space, method):
-    minimal_quadratic = method.mu_family == "min"
+    minimal_quadratic = method.minimising
     th = method.effective_vartheta
 
     def lam_objective(B, h):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import re
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import gradcert as gc
+from gradcert import cli
 from gradcert.errors import ArgumentError
 
 EUC = gc.euclidean()
@@ -17,6 +19,28 @@ def test_registry_contains_required_problems():
                      "chandrasekhar", "indefinite2d"):
         assert required in names
     assert len(gc.registry()) == len(names)
+
+
+def test_a_problem_dimension_is_its_x0s(capsys):
+    # no dim field that could disagree with x0
+    assert "dim" not in {f.name for f in dataclasses.fields(gc.Problem)}
+    with pytest.raises(TypeError):
+        gc.Problem(name="t", dim=3, f=lambda x: x, jacobian=lambda x: np.eye(3),
+                   x0=np.zeros(3), R=1.0)
+    p = gc.Problem(name="t", f=lambda x: 2.0 * x, jacobian=lambda x: 2.0 * np.eye(len(x)),
+                   x0=np.zeros(3), R=1.0)
+    assert gc.validate_jacobian(p).passed
+    # a rebuilt problem takes the dimension of its new x0
+    assert gc.validate_jacobian(dataclasses.replace(p, x0=np.ones(5))).worst_point.shape == (5,)
+    assert cli.main(["list-problems"]) == 0
+    dims = {row["name"]: row["dim"] for row in json.loads(capsys.readouterr().out)}
+    assert dims == {q.name: len(q.x0) for q in gc.registry()}
+
+
+def test_linear_spd_with_a_given_radius_takes_no_start_residual():
+    # ||A x0 - b|| overflows at this start; with R given it is not computed
+    p = gc.linear_spd(1, 4, 2, x0=[1e160, 1e160], R=1e200)
+    assert p.R == 1e200 and np.isfinite(p.f(p.x0)).all()
 
 
 def test_make_problem_unknown_name():
@@ -158,9 +182,9 @@ def test_chandrasekhar_jacobian_structure():
 def _ball_stack(p, k, seed):
     """k seeded points of p's ball, as a (k, dim) stack."""
     rng = np.random.default_rng(seed)
-    D = rng.standard_normal((k, p.dim))
+    D = rng.standard_normal((k, len(p.x0)))
     D /= np.linalg.norm(D, axis=1)[:, None]
-    return p.x0 + p.R * rng.random((k, 1)) ** (1.0 / p.dim) * D
+    return p.x0 + p.R * rng.random((k, 1)) ** (1.0 / len(p.x0)) * D
 
 
 ACTION_PROBLEMS = ([(p.name, p) for p in gc.registry()]
@@ -180,10 +204,10 @@ def test_stacked_jacobian_equals_one_point_jacobians(p):
     rng = np.random.default_rng(4)
     for k, seed in ((1, 0), (8, 1), (13, 2)):
         X = _ball_stack(p, k, seed)
-        H = rng.standard_normal((k, p.dim))
+        H = rng.standard_normal((k, len(p.x0)))
         for action, transpose in ((p.jvp, False), (p.vjp, True)):
             W = action(X, H)
-            assert W.shape == (k, p.dim)
+            assert W.shape == (k, len(p.x0))
             for i in range(k):
                 J = np.asarray(p.jacobian(X[i]), dtype=float)
                 expected = H[i] @ (J if transpose else J.T)
@@ -257,18 +281,18 @@ def _ref_linear(m, M, R):
             nu, theta, lam_base = nu_adj, M, 1.0 / (m * m)
         else:
             nu, theta, lam_base = nu_id, 1.0, 1.0 / m
-        lam = lam_base if method.mu_family == "min" else lam_base / th
+        lam = lam_base if method.minimising else lam_base / th
         return gc.BoundData(lam=lam, theta=theta, omega=gc.LipschitzModulus(0.0), R=R,
-                            nu=nu, step_family=method.mu_family, vartheta=th)
+                            nu=nu, method=method)
     return resolve
 
 
 def _ref_identity(R):
     def resolve(method):
         th = method.effective_vartheta
-        lam = 1.0 if method.mu_family == "min" else 1.0 / th
+        lam = 1.0 if method.minimising else 1.0 / th
         return gc.BoundData(lam=lam, theta=1.0, omega=gc.LipschitzModulus(0.0), R=R,
-                            nu=1.0, step_family=method.mu_family, vartheta=th)
+                            nu=1.0, method=method)
     return resolve
 
 
@@ -282,17 +306,17 @@ def _ref_quad2d(method):
     if method.uses_adjoint:
         nu = lambda r: (smin(r) / smax(r)) ** 2
         theta = smax
-        lam = (lambda r: 1.0 / smin(r) ** 2) if method.mu_family == "min" \
+        lam = (lambda r: 1.0 / smin(r) ** 2) if method.minimising \
             else (lambda r: 1.0 / (th * smin(r) ** 2))
     else:
         def nu(r):
             s, k = sym_bound(r), skew_bound(r)
             return 1.0 / (1.0 / math.sqrt(1.0 - s * s) + k / (1.0 - s))
         theta = 1.0
-        lam = (lambda r: 1.0 / smin(r)) if method.mu_family == "min" \
+        lam = (lambda r: 1.0 / smin(r)) if method.minimising \
             else (lambda r: 1.0 / (th * (1.0 - sym_bound(r))))
     return gc.BoundData(lam=lam, theta=theta, omega=gc.LipschitzModulus(0.2), R=R,
-                        nu=nu, step_family=method.mu_family, vartheta=th)
+                        nu=nu, method=method)
 
 
 def _ref_scalar_quad(x0, R):
@@ -303,10 +327,10 @@ def _ref_scalar_quad(x0, R):
         th = method.effective_vartheta
         power = 2 if method.uses_adjoint else 1
         theta = fprime_max if method.uses_adjoint else 1.0
-        scale = 1.0 if method.mu_family == "min" else 1.0 / th
+        scale = 1.0 if method.minimising else 1.0 / th
         return gc.BoundData(lam=lambda r: scale / fprime_min(r) ** power,
                             theta=theta, omega=gc.LipschitzModulus(0.1), R=R,
-                            nu=1.0, step_family=method.mu_family, vartheta=th)
+                            nu=1.0, method=method)
     return resolve
 
 
@@ -332,7 +356,7 @@ def test_family_rule_matches_the_per_problem_resolvers(case, vartheta, family):
     method = gc.MethodSpec(family, vartheta)
     got = p.certified_bounds.bound_data(method, 1.0)
     want = reference(method)
-    assert (got.R, got.step_family, got.vartheta) == (want.R, want.step_family, want.vartheta)
+    assert (got.R, got.method) == (want.R, want.method) and got.method is method
     for r in (0.0, 0.05, 0.3 * p.R, 0.5 * p.R, p.R):
         assert got.omega.constant(r) == want.omega.constant(r)
         assert got.nu_at(r) == want.nu_at(r)

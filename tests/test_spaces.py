@@ -66,12 +66,22 @@ def test_norm_matches_numpy_bit_for_bit():
 
 
 def test_space_geometry_validation():
-    with pytest.raises(ArgumentError):
-        gc.sequence_p(1.5)
-    with pytest.raises(ArgumentError):
-        gc.SpaceGeometry("weird")
+    for bad in (1.5, math.inf, math.nan, -2.0):
+        with pytest.raises(ArgumentError):
+            gc.sequence_p(bad)
+        with pytest.raises(ArgumentError):
+            gc.SpaceGeometry(bad)
     assert gc.euclidean().sigma == 1.0
     assert gc.sequence_p(4).sigma == 3.0
+
+
+def test_a_space_is_its_exponent():
+    # l_2 is Euclidean space: one value, and the dot-product kernels
+    assert gc.sequence_p(2) == gc.euclidean() == gc.SpaceGeometry()
+    assert gc.sequence_p(4) == gc.SpaceGeometry(4.0) != gc.euclidean()
+    x, y = np.array([0.3, -1.7, 2.9]), np.array([1.1, 0.4, -0.6])
+    assert gc.norm(gc.sequence_p(2), x) == math.sqrt(x.dot(x))
+    assert gc.semiscalar(gc.sequence_p(2), x, y) == float(x @ y)
 
 
 # --- semiscalar product -----------------------------------------------------
