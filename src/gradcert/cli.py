@@ -346,7 +346,7 @@ def cmd_estimate(rc: dict, fixed_clock: bool) -> int:
     problem, space, method = _build(rc)
     plan = _build_plan(rc)
     est = estimator.sample_estimates(problem, method, space, problem.R, plan)
-    nu, sigma, th = est.nu_tilde, space.sigma, method.effective_vartheta
+    nu, sigma, th = est.nu_tilde, space.sigma, method.vartheta
     mu_min = mu_alt = altman_valid = None
     threshold = majorant.altman_validity_threshold(th, sigma)
     if 0.0 < nu <= 1.0:

@@ -207,7 +207,7 @@ class _StepRatio:
 
     def __init__(self, space, method: MethodSpec):
         self.space, self.sigma = space, space.sigma
-        self.minimising, self.th = method.minimising, method.effective_vartheta
+        self.minimising, self.th = method.minimising, method.vartheta
 
     def score(self, H, W, terms):
         """The ratio of each row h of H and its image row Bh in W."""

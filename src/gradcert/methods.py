@@ -9,7 +9,7 @@ or their semiscalar analogues for l_p geometry.
 ``solve`` records a full per-step trace; ``verify_relaxation`` replays a
 trace against a majorant certificate and reports every violated per-step
 inequality, which is the runtime check that the supplied bound functions
-were actually valid for the run.
+were actually valid for the run, and the tightest instance of each kind.
 """
 
 from __future__ import annotations
@@ -65,7 +65,11 @@ _VERIFY_FLOOR = 4.0 * np.finfo(float).eps  # k = 4 roundings: verify_relaxation'
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """A step family plus the relaxation parameter of the Altman variants."""
+    """A step family plus the relaxation parameter of the Altman variants.
+
+    Only an Altman variant reads vartheta; every other family is the
+    vartheta = 1 case and refuses any other value.
+    """
 
     family: str
     vartheta: float = 1.0
@@ -75,6 +79,10 @@ class MethodSpec:
             raise ArgumentError(f"unknown method family {self.family!r}")
         if not (0.0 < self.vartheta <= 2.0):
             raise ArgumentError(f"vartheta must lie in (0, 2], got {self.vartheta}")
+        if self.vartheta != 1.0 and not _RULES[self.family].relaxed:
+            raise ArgumentError(
+                f"{self.family} reads no vartheta; only the Altman variants take "
+                f"vartheta != 1, got {self.vartheta}")
 
     @property
     def uses_adjoint(self) -> bool:
@@ -85,16 +93,11 @@ class MethodSpec:
         """Whether the step scalar is the quadratic-minimising one, else the relaxed one."""
         return _RULES[self.family].minimising
 
-    @property
-    def effective_vartheta(self) -> float:
-        # steepest descent and minimal errors are the vartheta = 1 cases
-        return self.vartheta if _RULES[self.family].relaxed else 1.0
-
     def mu(self, nu: float, sigma: float) -> float:
         """This rule's contraction factor at acuteness nu, in a space with constant sigma."""
         if self.minimising:
             return majorant.mu_min_family(nu, sigma)
-        return majorant.mu_altman_family(nu, self.effective_vartheta, sigma)
+        return majorant.mu_altman_family(nu, self.vartheta, sigma)
 
     def check_space(self, space: SpaceGeometry) -> None:
         """Reject incompatible geometry as a typed configuration error.
@@ -161,7 +164,7 @@ def step_direction(method: MethodSpec, space: SpaceGeometry, problem,
         num, den = pairing, space.sigma * _sq(space, Bh)
         scale = norm(space, d) * norm(space, Bh)
     else:
-        num, den = _sq(space, fx), method.effective_vartheta * pairing
+        num, den = _sq(space, fx), method.vartheta * pairing
         scale = norm(space, fx) * norm(space, g)
 
     if not all(map(math.isfinite, (num, den, scale))):  # the vectors are finite: an overflow
@@ -316,9 +319,12 @@ class Violation:
 
 @dataclass
 class VerificationReport:
+    """The violations of a replay, and per checked kind the step of largest observed/allowed."""
+
     violations: list[Violation] = field(default_factory=list)
     checked_steps: int = 0
     unresolved_steps: list[int] = field(default_factory=list)
+    tightest: list[Violation] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -341,6 +347,10 @@ def verify_relaxation(trace: IterationTrace,
     a.  A residual above its allowed value but not above this floor is
     unresolved: listed in ``unresolved_steps``, neither a violation nor a
     pass, and not counted in ``checked_steps``.
+
+    ``tightest`` holds, for each of "residual", "step" and "ball" that has a
+    checked instance, the first step of largest observed/allowed ratio (0/0
+    reads as 0), so a clean run shows how close it came to a violation.
     """
     if not cert.feasible:
         raise ArgumentError("verification requires a feasible certificate")
@@ -355,25 +365,30 @@ def verify_relaxation(trace: IterationTrace,
     rmap = cert.relaxation_map()
     lt = rmap.lt
     report = VerificationReport()
+    # kind -> (ratio, step, kind, observed, allowed) of its first largest ratio
+    tight = dict.fromkeys(("residual", "step", "ball"))
+
+    def check(n, kind, observed, allowed):
+        ratio = observed / allowed if allowed > 0.0 else math.inf if observed > 0.0 else 0.0
+        if tight[kind] is None or ratio > tight[kind][0]:
+            tight[kind] = (ratio, n, kind, observed, allowed)
+        if observed > allowed * (1.0 + _VERIFY_RTOL):
+            report.violations.append(Violation(n, kind, observed, allowed))
+
     for i, step in enumerate(trace.steps):
-        if step.dist_from_center > r * (1.0 + _VERIFY_RTOL):
-            report.violations.append(
-                Violation(step.n, "ball", step.dist_from_center, r))
+        check(step.n, "ball", step.dist_from_center, r)
         if math.isnan(step.lambda_) or i + 1 >= len(trace.steps):
             continue
         nxt = trace.steps[i + 1]
         allowed = rmap(step.res_norm)
-        if nxt.res_norm <= allowed * (1.0 + _VERIFY_RTOL):
-            report.checked_steps += 1
-        elif nxt.res_norm <= _VERIFY_FLOOR * max(cert.a, norm(trace.space, nxt.x)):
+        if (nxt.res_norm > allowed * (1.0 + _VERIFY_RTOL)
+                and nxt.res_norm <= _VERIFY_FLOOR * max(cert.a, norm(trace.space, nxt.x))):
             report.unresolved_steps.append(step.n)
         else:
             report.checked_steps += 1
-            report.violations.append(Violation(step.n, "residual", nxt.res_norm, allowed))
-        step_allowed = lt * step.res_norm
-        if step.step_norm > step_allowed * (1.0 + _VERIFY_RTOL):
-            report.violations.append(
-                Violation(step.n, "step", step.step_norm, step_allowed))
+            check(step.n, "residual", nxt.res_norm, allowed)
+        check(step.n, "step", step.step_norm, lt * step.res_norm)
+    report.tightest = [Violation(*t[1:]) for t in tight.values() if t is not None]
     return report
 
 

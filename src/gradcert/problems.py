@@ -65,7 +65,7 @@ class CertifiedBounds:
                 f"certified bounds for {self.name!r} are derived for Euclidean geometry "
                 f"(sigma=1); got sigma={sigma}. Use estimated bounds for p > 2.")
         op = self.t_adjoint if method.uses_adjoint else self.t_identity
-        th = method.effective_vartheta
+        th = method.vartheta
         if method.minimising:
             lam = op.lam_min
         elif callable(op.lam_relaxed):
@@ -234,7 +234,7 @@ def scalar_quad(c: float = 0.1, x0: float = 0.0, R: float = 5.0) -> Problem:
     disc = 1.0 - 0.2 * c
     if disc <= 0.0:
         raise ArgumentError("no real solution for this c")
-    x_star = (1.0 - math.sqrt(disc)) / 0.1
+    x_star = 2.0 * c / (1.0 + math.sqrt(disc))  # the smaller root, free of cancellation
 
     def fprime_min(r):
         return 1.0 - 0.1 * (abs(x0) + min(r, R))

@@ -86,10 +86,10 @@ def norm(space: SpaceGeometry, x) -> float:
     v = _arr(x)
     if space.p == 2.0:
         # what np.linalg.norm computes for a real vector, bit for bit, unless
-        # the sum of squares underflows: then rescaled, as the l_p norm is
+        # the sum of squares under- or overflows: then rescaled, as the l_p norm is
         w = v.ravel(order="K")
         s = w.dot(w)
-        nv = math.sqrt(s) if s >= _TINY else _pnorm(v, 2.0)
+        nv = math.sqrt(s) if _TINY <= s < math.inf else _pnorm(v, 2.0)
     else:
         nv = _pnorm(v, space.p)
     if not math.isfinite(nv):
@@ -151,8 +151,15 @@ def _scaled_rows(p: float, X: np.ndarray):
 
 def norm_rows(space: SpaceGeometry, X: np.ndarray) -> np.ndarray:
     if space.p == 2.0:
-        # the formula of np.linalg.norm(X, axis=1), without its dispatch
-        return np.sqrt(_row_sum(X * X))
+        # the formula of np.linalg.norm(X, axis=1), without its dispatch; a row
+        # whose sum of squares underflows (or a zero row) takes the scalar
+        # ``norm``'s rescaled path, and an overflowing row stays inf
+        s = _row_sum(X * X)
+        out = np.sqrt(s)
+        if np.minimum.reduce(s, initial=math.inf) < _TINY:  # without the .min() wrapper
+            for i in np.flatnonzero(s < _TINY):
+                out[i] = _pnorm(X[i], 2.0)
+        return out
     m, _, s = _scaled_rows(space.p, X)
     return m * s ** (1.0 / space.p)
 

@@ -52,9 +52,16 @@ def test_one_step_exactness():
     print(f"\nACCEPTANCE one-step exactness: PASS ({elapsed:.2f}s)")
 
 
+def rate_sweep():
+    """Rotated linear_spd at condition numbers 1.5 to 32, dim 2 and 4, default_rng(0) starts."""
+    rng = np.random.default_rng(0)
+    return [gc.linear_spd(1.0, kappa, dim, rotate=True, seed=dim, x0=rng.uniform(-2.0, 2.0, dim))
+            for kappa in (1.5, 2.0, 4.0, 8.0, 16.0, 32.0) for dim in (2, 4)]
+
+
 def test_contraction_factor_bounds_spd():
     t0 = time.perf_counter()
-    cases = [gc.linear_spd(1, 4, 2)]
+    cases = [gc.linear_spd(1, 4, 2), *rate_sweep()]
     rng = np.random.default_rng(202)
     for k in range(20):
         m = float(rng.uniform(0.5, 2.0))
@@ -77,6 +84,34 @@ def test_contraction_factor_bounds_spd():
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     print(f"ACCEPTANCE contraction-factor bounds: PASS ({elapsed:.2f}s)")
+
+
+def test_rate_sweep_certified_runs_verify_within_their_tightest_margin():
+    # the verifier's tightest residual record is the run's contraction margin:
+    # observed over allowed residual, at most 1 on every certified run
+    t0 = time.perf_counter()
+    stop = gc.StopRule(res_tol=1e-10, max_iter=400)
+    certified = set()
+    for problem in rate_sweep():
+        for family in (gc.MIN_RESIDUAL, gc.STEEPEST_DESCENT):
+            method, bounds, cert = certified_setup(problem, family)
+            if not cert.feasible:
+                continue
+            certified.add((family, problem.params["M"]))
+            trace = gc.solve(problem, method, EUC, stop, cert, bounds)
+            assert trace.termination == "converged", (problem.params, family)
+            report = gc.verify_relaxation(trace, cert)
+            assert report.ok, (problem.params, family, report.violations[:3])
+            tightest = {t.kind: t for t in report.tightest}
+            assert set(tightest) == {"residual", "step", "ball"}
+            for t in tightest.values():
+                assert t.observed <= t.allowed * (1.0 + 1e-9), (problem.params, family, t)
+    kappas = {1.5, 2.0, 4.0, 8.0, 16.0, 32.0}
+    assert {k for fam, k in certified if fam == gc.MIN_RESIDUAL} == kappas
+    assert {k for fam, k in certified if fam == gc.STEEPEST_DESCENT} == {1.5, 2.0, 4.0}
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 5.0
+    print(f"ACCEPTANCE rate-sweep margins: PASS ({len(certified)} certified, {elapsed:.2f}s)")
 
 
 def test_relaxation_invariant_on_certified_builtins():

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -94,7 +95,9 @@ def test_a_start_that_solves_the_equation_is_certified_at_r_zero(tmp_path, comma
     if command == "solve":
         assert rep["trace"]["n_steps"] == 0 and rep["trace"]["termination"] == "converged"
         assert rep["verification"] == {"checked_steps": 0, "unresolved_steps": [],
-                                       "violations": []}
+                                       "violations": [], "tightest": [
+                                           {"step": 0, "kind": "ball", "observed": 0.0,
+                                            "allowed": 0.0}]}
     else:
         assert {row["bound"] for row in rep["apriori_bounds"]} == {0.0}
 
@@ -110,7 +113,12 @@ def test_solve_understated_mu_exits_2_with_violations(tmp_path):
     assert cli.main(["solve", "--config", rc, "--fixed-clock"]) == 2
     rep = read_report(tmp_path)
     assert rep["trace"]["termination"] == "converged"
-    assert len(rep["verification"]["violations"]) > 0
+    verification = rep["verification"]
+    assert len(verification["violations"]) > 0
+    # the tightest residual record is the worst residual violation
+    worst = max((v for v in verification["violations"] if v["kind"] == "residual"),
+                key=lambda v: v["observed"] / v["allowed"])
+    assert {t["kind"]: t for t in verification["tightest"]}["residual"] == worst
 
 
 def test_solve_breakdown_exits_4(tmp_path):
@@ -491,6 +499,22 @@ def test_value_of_another_type_is_refused_before_any_work(tmp_path, capsys, comm
     assert not (tmp_path / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "certify", "estimate"])
+def test_a_vartheta_that_no_rule_reads_is_refused_before_any_work(tmp_path, capsys,
+                                                                   monkeypatch, command):
+    # steepest descent at vartheta 1.5 used to run at 1 and echo 1.5 in the report
+    for module, name in ((cli.majorant, "certify"), (cli.methods, "solve"),
+                         (cli.estimator, "sample_estimates")):
+        monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("work ran"))
+    cfg = solve_config(tmp_path, method={"family": "steepest_descent", "vartheta": 1.5})
+    assert cli.main([command, "--config", write_config(tmp_path, **cfg)]) == 1
+    assert capsys.readouterr().err == (
+        "config error at method: steepest_descent reads no vartheta; only the Altman "
+        "variants take vartheta != 1, got 1.5\n")
+    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_trace_path_that_is_an_integer_opens_no_descriptor(tmp_path, capsys):
     # open() takes an integer as a file descriptor: the trace went into it and closed it
     fd = os.open(tmp_path / "fd.csv", os.O_WRONLY | os.O_CREAT)
@@ -576,10 +600,14 @@ def test_overflowing_step_norms_end_in_breakdown_with_a_report(tmp_path):
     assert len(read_trace(tmp_path)) == 1
 
 
-def test_an_overflowing_start_residual_norm_is_refused_without_a_warning(tmp_path, capsys):
-    # the Euclidean norm of f(x0) overflows to inf, which certify refuses
+def test_an_overflowing_start_ends_in_breakdown_in_euclidean_space_too(tmp_path):
+    # the Euclidean norm of f(x0) is rescaled where its sum of squares
+    # overflows, as in l_4, so the start is certified and its first step breaks down
     cfg = solve_config(tmp_path, problem=_OVERFLOWING_START,
                        bounds={"mode": "explicit", "explicit": {"nu": 0.5}})
-    assert cli.main(["solve", "--config", write_config(tmp_path, **cfg)]) == 1
-    assert capsys.readouterr().err == (
-        "error: initial residual norm a must be finite and nonnegative\n")
+    assert cli.main(["solve", "--config", write_config(tmp_path, **cfg), "--fixed-clock"]) == 4
+    rep = read_report(tmp_path)
+    assert rep["certificate"]["a"] == pytest.approx(math.sqrt(17.0) * 1e160, rel=1e-15)
+    assert rep["trace"]["termination"] == "breakdown"
+    assert rep["trace"]["reason"] == "min_residual: a step norm or pairing overflowed"
+    assert len(read_trace(tmp_path)) == 1

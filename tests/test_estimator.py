@@ -365,12 +365,17 @@ def test_a_residual_scaled_near_overflow_leaves_the_estimates(refine):
 
 
 def test_an_overflowing_residual_norm_is_an_error():
-    # finite entries near 1e160 whose Euclidean norm overflows; with no numpy
-    # warning, as tier-1 turns a RuntimeWarning into an error
-    p = _residual_scaled(gc.linear_spd(1, 4, 2), 1e160)
+    # entries near 1e160 have a finite Euclidean norm, rescaled as in l_p, so
+    # the estimates are the unscaled problem's; entries near 1.5e308 have a norm
+    # above the float range, an error.  With no numpy warning, as tier-1 turns a
+    # RuntimeWarning into an error.
+    p = gc.linear_spd(1, 4, 2)
     plan = gc.SamplePlan(seed=1, n_points=8, n_dirs=16, refine=False)
+    got = gc.sample_estimates(_residual_scaled(p, 1e160), SD, EUC, p.R, plan)
+    assert got == gc.sample_estimates(p, SD, EUC, p.R, plan)
+    huge = dataclasses.replace(p, f=lambda x: np.full(2, 1.5e308))
     with pytest.raises(ArgumentError, match="residual norm at sampled ball point 0 overflowed"):
-        gc.sample_estimates(p, SD, EUC, p.R, plan)
+        gc.sample_estimates(huge, SD, EUC, p.R, plan)
 
 
 def test_overflowing_euclidean_image_norm_is_an_error_not_a_failed_acuteness():

@@ -354,6 +354,47 @@ def test_verify_relaxation_flags_understated_mu():
     assert any(v.kind == "residual" for v in report.violations)
 
 
+def _replayed_tightest(trace, cert, unresolved):
+    """Per kind, the first step of largest observed/allowed over a replay of the trace."""
+    rmap = cert.relaxation_map()
+    rows = {"residual": [], "step": [], "ball": []}
+    for s in trace.steps:
+        rows["ball"].append((s.n, s.dist_from_center, cert.r))
+    for s, nxt in zip(trace.steps, trace.steps[1:]):
+        if s.n not in unresolved:
+            rows["residual"].append((s.n, nxt.res_norm, rmap(s.res_norm)))
+        rows["step"].append((s.n, s.step_norm, rmap.lt * s.res_norm))
+    tightest = []
+    for kind, checks in rows.items():
+        ratios = [obs / allowed if allowed else math.inf if obs else 0.0
+                  for _, obs, allowed in checks]
+        if ratios:
+            n, obs, allowed = checks[ratios.index(max(ratios))]
+            tightest.append(gc.Violation(n, kind, obs, allowed))
+    return tightest
+
+
+def test_verify_relaxation_tightest_is_the_maximum_over_a_replay():
+    # clean runs, a one-step run, a run with an unresolved step (scalar_quad
+    # under min_residual) and one with violations (an understated mu)
+    runs = [certified_run(p, fam)[:2] for p, fam in (
+        (gc.linear_spd(1, 4, 2), gc.MIN_RESIDUAL), (gc.linear_spd(1, 3, 5, rotate=True),
+                                                   gc.STEEPEST_DESCENT),
+        (gc.linear_spd(1, 4, 3), gc.MIN_CO_ERROR), (gc.identity(3), gc.STEEPEST_DESCENT),
+        (gc.scalar_quad(), gc.MIN_RESIDUAL))]
+    p = gc.linear_spd(1, 4, 2, x0=[1.6, 0.2])
+    bad = gc.BoundData(lam=1.0, theta=1.0, omega=gc.LipschitzModulus(0.0), R=p.R, mu=0.3)
+    cert = gc.certify(bad, 1.0, gc.norm(EUC, p.f(p.x0)))
+    runs.append((gc.solve(p, gc.MethodSpec(gc.MIN_RESIDUAL), EUC, STOP, cert, bad), cert))
+    for trace, cert in runs:
+        assert cert.feasible
+        report = gc.verify_relaxation(trace, cert)
+        assert [t.kind for t in report.tightest] == ["residual", "step", "ball"]
+        assert report.tightest == _replayed_tightest(trace, cert, report.unresolved_steps)
+    assert gc.verify_relaxation(*runs[4]).unresolved_steps == [2]
+    assert not gc.verify_relaxation(*runs[5]).ok
+
+
 def test_verify_relaxation_metadata_mismatch():
     p = gc.linear_spd(1, 4, 2)
     trace, cert, bounds = certified_run(p, gc.MIN_RESIDUAL)

@@ -38,7 +38,7 @@ def reference_acute_ratio(space, h, B):
 
 def reference_step_ratio(space, method):
     minimal_quadratic = method.minimising
-    th = method.effective_vartheta
+    th = method.vartheta
 
     def lam_objective(B, h):
         w = B @ h

@@ -8,19 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("script, args", [
-    ("certificate_demo.py", []),
-    ("rate_study.py", ["--out", "{tmp}/r.csv"]),
-])
-def test_example_script_runs(tmp_path, script, args):
+def test_certificate_demo_runs(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    cmd = [sys.executable, str(ROOT / "scripts" / script),
-           *(a.format(tmp=tmp_path) for a in args)]
+    cmd = [sys.executable, str(ROOT / "scripts" / "certificate_demo.py")]
     proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import gradcert as gc
 from gradcert.errors import ArgumentError
 from gradcert.spaces import (_AXIOM_BLOCK, _pnorm, _sample_blocks, _structured_pairs,
-                             norm_duality_rows, semiscalar_rows)
+                             norm_duality_rows, norm_rows, semiscalar_rows)
 
 P_VALUES = [2.0, 2.5, 3.0, 4.0, 7.0]
 
@@ -57,12 +57,26 @@ def test_norm_matches_numpy_bit_for_bit():
         for v in (M[0], M[:, 0], M[0, ::-1]):
             assert gc.norm(euc, v) == float(np.linalg.norm(v))
             assert gc.norm(lp, v) == _pnorm(np.ascontiguousarray(v), 3.0)
-    # an overflowing sum of squares is inf, as in numpy, not an error
+    # a sum of squares that overflows (numpy warns of it) is rescaled, as the
+    # l_p norm is; only a norm above the float range is inf, and not an error
     with np.errstate(over="ignore"):
-        assert gc.norm(euc, [1e200, 1e200]) == math.inf
+        assert gc.norm(euc, [1e200, 1e200]) == 1e200 * math.sqrt(2.0)
+        assert gc.norm(euc, [1.5e308, 1.5e308]) == math.inf
     for bad in ([math.nan, 1.0], [-math.inf, 1.0]):
         with pytest.raises(ArgumentError):
             gc.norm(lp, bad)
+
+
+def test_euclidean_norm_rows_are_the_norms_of_their_rows():
+    # rows whose sum of squares underflows, in part or to 0, are rescaled as
+    # the scalar norm is; each sum here is exact in any order of addition
+    X = np.array([[0.0, 6.69e-205], [1e-160, 0.0], [3e-170, -4e-170], [5e-324, 0.0],
+                  [1e-154, 1e-154], [0.0, 0.0], [3.0, 4.0], [1.0, 1e-200]])
+    euc = gc.euclidean()
+    assert norm_rows(euc, X).tolist() == [gc.norm(euc, x) for x in X]
+    # a row whose sum of squares overflows stays inf
+    with np.errstate(over="ignore"):
+        assert norm_rows(euc, np.array([[1e200, 1e200]])).tolist() == [math.inf]
 
 
 def test_space_geometry_validation():
