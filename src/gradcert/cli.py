@@ -55,6 +55,11 @@ _DEFAULTS = {
     "run": {"res_tol": 1e-10, "max_iter": 500, "seed": 0, "samples": 100000},
     "output": {"report_path": str, "trace_path": str},
 }
+# each omega family's modulus, and the keys of bounds.explicit.omega it reads in
+# order; the family refuses the other keys
+_OMEGA_FAMILIES = {"lipschitz": (majorant.LipschitzModulus, ["L"]),
+                   "holder": (majorant.HolderModulus, ["L", "alpha"]),
+                   "tabulated": (majorant.TabulatedModulus, ["ts", "ws"])}
 _KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
           list: "a list", dict: "an object"}
 
@@ -176,16 +181,16 @@ def _explicit_bounds(rc: dict, problem, method) -> majorant.BoundData:
     ex = _filled(_DEFAULTS["bounds"]["explicit"], given)
     om = _filled(_DEFAULTS["bounds"]["explicit"]["omega"], ex["omega"])
     fam = om["family"]
+    if fam not in _OMEGA_FAMILIES:
+        raise ConfigError(f"config error at bounds.explicit.omega.family: unknown {fam!r}")
+    modulus, keys = _OMEGA_FAMILIES[fam]
+    unread = sorted(k for k, v in (ex["omega"] or {}).items()
+                    if v is not None and k not in ("family", *keys))
+    if unread:
+        raise ConfigError(f"config error at bounds.explicit.omega: family {fam!r} reads "
+                          f"only {keys}, got {unread}")
     with _at("bounds.explicit"):
-        if fam == "lipschitz":
-            omega = majorant.LipschitzModulus(float(om["L"]))
-        elif fam == "holder":
-            omega = majorant.HolderModulus(float(om["L"]), float(om["alpha"]))
-        elif fam == "tabulated":
-            omega = majorant.TabulatedModulus(om["ts"], om["ws"])
-        else:
-            raise ConfigError(
-                f"config error at bounds.explicit.omega.family: unknown {fam!r}")
+        omega = modulus(*(om[k] for k in keys))
         # a given mu is used as is; a given nu takes the method's contraction formula
         mu_nu = {k: float(ex[k]) for k in ("mu", "nu") if ex[k] is not None}
         return majorant.BoundData(
@@ -365,6 +370,8 @@ def cmd_estimate(rc: dict, fixed_clock: bool) -> int:
                              "label": "lower estimate of the supremum"},
             "nu_trajectory": {"value": est.nu_trajectory,
                               "label": "upper estimate along residual directions"},
+            "theta": {"value": est.theta, "label": "lower estimate of the supremum"
+                      if method.uses_adjoint else "exact: T = I"},
             "omega_lipschitz": {"value": est.lipschitz(),
                                 "label": "lower estimate of the supremum"},
         },

@@ -512,10 +512,11 @@ def estimate_omega_lipschitz(problem, r: float, plan: SamplePlan,
 def estimate_theta(problem, method: MethodSpec, space: SpaceGeometry,
                    r: float, plan: SamplePlan) -> float:
     """Bound on ||T(x)||: exactly 1 for identity T, sampled max matrix norm otherwise."""
-    if not method.uses_adjoint:
-        return 1.0
-    return sample_estimates(problem, method, space, r,
-                            replace(plan, refine=False)).theta
+    if method.uses_adjoint:
+        return sample_estimates(problem, method, space, r, replace(plan, refine=False)).theta
+    _check_radius(problem, r)  # the checks sample_estimates makes
+    method.check_space(space)
+    return 1.0
 
 
 def estimated_bound_data(problem, method: MethodSpec, space: SpaceGeometry,

@@ -53,26 +53,28 @@ def _as_fn(v) -> Callable[[float], float]:
 
 
 class HolderModulus:
-    """omega(r, t) = L(r) * t**alpha with 0 < alpha <= 1."""
+    """omega(r, t) = L(r) * t**alpha with 0 < alpha <= 1 and L finite and >= 0.
+
+    A constant L is checked here, an L(r) on the r-grid of ``BoundData.validate``.
+    """
 
     def __init__(self, L: float | Callable[[float], float], alpha: float):
         if not (0.0 < alpha <= 1.0):
             raise ArgumentError("Holder exponent must lie in (0, 1]")
-        self._L = _as_fn(L)
+        if not callable(L) and not (0.0 <= L < math.inf):
+            raise ArgumentError(f"Holder constant L must be finite and >= 0, got {L}")
+        self.L = L if callable(L) else float(L)
         self.alpha = float(alpha)
 
     def constant(self, r: float) -> float:
         """L(r)."""
-        return self._L(r)
-
-    def value(self, r: float, t):
-        return self._L(r) * t ** self.alpha
+        return self.L(r) if callable(self.L) else self.L
 
     def integral(self, r: float, t):
-        return self._L(r) * t ** (1.0 + self.alpha) / (1.0 + self.alpha)
+        return self.constant(r) * t ** (1.0 + self.alpha) / (1.0 + self.alpha)
 
     def is_zero(self, r: float) -> bool:
-        return self._L(r) == 0.0
+        return self.constant(r) == 0.0
 
 
 class LipschitzModulus(HolderModulus):
@@ -83,14 +85,15 @@ class LipschitzModulus(HolderModulus):
 
     def integral(self, r: float, t):
         # not the Holder form L * t**2 / 2, which rounds differently
-        return 0.5 * self._L(r) * t * t
+        return 0.5 * self.constant(r) * t * t
 
 
 class TabulatedModulus:
     """omega given on a monotone grid in t; piecewise-linear in between.
 
-    The grid must start at (0, 0) and be nondecreasing.  Beyond the last
-    node the value is held constant, so the integral grows linearly there.
+    The grid must start at (0, 0), be finite, strictly increasing in t and
+    nondecreasing in omega.  Beyond the last node the value is held
+    constant, so the integral grows linearly there.
     Segment integrals are exact (trapezoid on a piecewise-linear function).
     """
 
@@ -101,8 +104,8 @@ class TabulatedModulus:
             raise ArgumentError("tabulated modulus needs matching 1-d grids, len >= 2")
         if ts[0] != 0.0 or ws[0] != 0.0:
             raise ArgumentError("tabulated modulus must start at (0, 0)")
-        if np.any(np.diff(ts) <= 0.0):
-            raise ArgumentError("tabulated t-grid must be strictly increasing")
+        if np.any(np.diff(ts) <= 0.0) or not np.all(np.isfinite(ts)):
+            raise ArgumentError("tabulated t-grid must be finite and strictly increasing")
         if np.any(np.diff(ws) < 0.0) or not np.all(np.isfinite(ws)):
             raise ArgumentError("tabulated omega values must be finite and nondecreasing")
         self.ts = ts
@@ -110,9 +113,6 @@ class TabulatedModulus:
         self._cum = np.concatenate(
             [[0.0], np.cumsum(0.5 * (ws[1:] + ws[:-1]) * np.diff(ts))])
         self._slope = np.append(np.diff(ws) / np.diff(ts), 0.0)  # 0 past the last node
-
-    def value(self, r: float, t):
-        return np.interp(t, self.ts, self.ws)
 
     def integral(self, r: float, t):
         t = np.asarray(t, dtype=float)
@@ -224,40 +224,30 @@ class BoundData:
         return self.method.mu(self.nu_at(r), sigma)
 
     def validate(self, sigma: float = 1.0) -> None:
-        """Grid-check the monotonicity assumptions; raises ArgumentError."""
-        rs = np.linspace(0.0, self.R, _VALIDATE_GRID)
-        slack = 1e-12
+        """Check that lam, theta, mu and a Holder L rise with r and nu falls; raises ArgumentError.
 
-        def _mono(name, vals, direction):
-            vals = np.asarray(vals)
+        A constant is read once, a function of r on an r-grid with a relative
+        slack of 1e-12, and L(r) must be finite and >= 0 there.  A modulus
+        checks its shape in t when built, so omega is not evaluated here.
+        """
+        checks = [("lam", self.lam, self.lam_at, +1), ("theta", self.theta, self.theta_at, +1),
+                  ("mu", self.mu, lambda r: self.mu_at(r, sigma), +1) if self.mu is not None
+                  else ("nu", self.nu, self.nu_at, -1)]
+        if isinstance(self.omega, HolderModulus):
+            L = self.omega.L
+            checks.append(("L", L, lambda r: _read("L", L, r), +1))
+        for name, v, read, direction in checks:
+            if not callable(v):
+                read(0.0)
+                continue
+            vals = np.array([read(r) for r in np.linspace(0.0, self.R, _VALIDATE_GRID)])
             scale = np.maximum(1.0, np.abs(vals[:-1]))
-            d = np.diff(vals) * direction
-            if np.any(d < -slack * scale):
+            if np.any(np.diff(vals) * direction < -1e-12 * scale):
                 raise ArgumentError(f"{name} violates monotonicity on the r-grid")
-
-        _mono("lam", [self.lam_at(r) for r in rs], +1)
-        _mono("theta", [self.theta_at(r) for r in rs], +1)
-        if self.mu is not None:
-            _mono("mu", [self.mu_at(r, sigma) for r in rs], +1)
-        else:
-            _mono("nu", [self.nu_at(r) for r in rs], -1)
-        ts = np.linspace(0.0, max(1.0, self.R), 9)
-        for r in (0.0, 0.5 * self.R, self.R):
-            w0 = float(np.asarray(self.omega.value(r, 0.0)))
-            if abs(w0) > slack:
-                raise ArgumentError("omega(r, 0) must be 0")
-            _mono("omega(., t)", [float(np.asarray(self.omega.value(r, t))) for t in ts], +1)
-        for t in ts[1:]:
-            _mono("omega(r, .)", [float(np.asarray(self.omega.value(r, t))) for r in rs], +1)
 
 
 # ---------------------------------------------------------------------------
 # the relaxation map and its derived objects
-
-def _check_radius(bounds: BoundData, r: float) -> None:
-    if not (0.0 <= r <= bounds.R * (1.0 + 1e-9)):
-        raise ArgumentError(f"radius r={r} outside [0, R={bounds.R}]")
-
 
 class RelaxationMap:
     """The relaxation map d_sigma(r, .) at one radius, with its fixed point and series.
@@ -273,7 +263,8 @@ class RelaxationMap:
     def __init__(self, bounds: BoundData, sigma: float, r: float):
         if sigma < 1.0:
             raise ArgumentError(f"sigma must be >= 1, got {sigma}")
-        _check_radius(bounds, r)
+        if not (0.0 <= r <= bounds.R * (1.0 + 1e-9)):
+            raise ArgumentError(f"radius r={r} outside [0, R={bounds.R}]")
         self.bounds = bounds
         self.sigma = sigma
         self.r = r
@@ -423,12 +414,8 @@ class MajorantCertificate:
 def _certificate_at(bounds: BoundData, sigma: float, a: float, r: float,
                     diagnostics: str = "") -> MajorantCertificate:
     """The certificate at r, feasible if its condition holds; w = inf if the map or series fails."""
-    rmap = None
-    phi_star = None
-    w = math.inf
-    lt = math.nan
-    mu = math.nan
-    velo = math.nan
+    rmap = phi_star = None
+    w, lt, mu, velo = math.inf, math.nan, math.nan, math.nan
     try:
         rmap = RelaxationMap(bounds, sigma, r)
         lt, mu = rmap.lt, rmap.mu

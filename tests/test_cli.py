@@ -201,6 +201,20 @@ def test_estimate_linear(tmp_path):
     assert rep["derived"]["altman_valid"] is True
 
 
+@pytest.mark.parametrize("family, label", [
+    ("min_residual", "exact: T = I"), ("min_co_error", "lower estimate of the supremum")])
+def test_estimate_reports_theta(tmp_path, family, label):
+    plan = {"seed": 5, "n_points": 8, "n_dirs": 64, "refine": False}
+    cfg = solve_config(tmp_path, method={"family": family},
+                       bounds={"mode": "estimated", "plan": plan})
+    assert cli.main(["estimate", "--config", write_config(tmp_path, **cfg), "--fixed-clock"]) == 0
+    p = gc.linear_spd(1, 4, 2)
+    est = gc.sample_estimates(p, gc.MethodSpec(family), gc.euclidean(), p.R, gc.SamplePlan(**plan))
+    assert read_report(tmp_path)["estimates"]["theta"] == {"value": est.theta, "label": label}
+    # the adjoint families sample ||f'^T||, which is M = 4 on this linear problem
+    assert est.theta == (1.0 if family == "min_residual" else pytest.approx(4.0, rel=1e-12))
+
+
 def test_estimate_acuteness_failure_exits_2(tmp_path):
     cfg = solve_config(tmp_path, problem={"name": "indefinite2d", "params": {}})
     rc = write_config(tmp_path, **cfg)
@@ -460,6 +474,66 @@ def test_unknown_omega_family_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+def _no_work(monkeypatch):
+    for module, name in ((cli.majorant, "certify"), (cli.methods, "solve"),
+                         (cli.estimator, "sample_estimates")):
+        monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("work ran"))
+
+
+_BAD_TS = "tabulated t-grid must be finite and strictly increasing"
+
+
+@pytest.mark.parametrize("omega, message", [
+    ({"L": math.nan}, "Holder constant L must be finite and >= 0, got nan"),
+    ({"L": math.inf}, "Holder constant L must be finite and >= 0, got inf"),
+    ({"L": -0.5}, "Holder constant L must be finite and >= 0, got -0.5"),
+    ({"family": "holder", "L": math.nan, "alpha": 0.5},
+     "Holder constant L must be finite and >= 0, got nan"),
+    ({"family": "tabulated", "ts": [0, math.nan], "ws": [0, 1]}, _BAD_TS),
+    ({"family": "tabulated", "ts": [0, 1, math.nan], "ws": [0, 1, 1]}, _BAD_TS)],
+    ids=["nan-L", "inf-L", "negative-L", "nan-holder-L", "nan-ts", "nan-last-ts"])
+@pytest.mark.parametrize("command", ["certify", "solve"])
+def test_a_bad_explicit_modulus_is_a_config_error_before_any_work(
+        tmp_path, capsys, monkeypatch, command, omega, message):
+    # these used to run: NaN L summed two 1e6-term series and exited 3, inf L
+    # warned and exited 3, a NaN t-node spun certify or certified with no phi_star
+    _no_work(monkeypatch)
+    cfg = solve_config(tmp_path, bounds={"mode": "explicit",
+                                         "explicit": {"nu": 0.8, "omega": omega}})
+    assert cli.main([command, "--config", write_config(tmp_path, **cfg)]) == 1
+    assert capsys.readouterr().err == f"config error at bounds.explicit: {message}\n"
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("omega, reads, unread", [
+    ({"family": "tabulated", "ts": [0, 1], "ws": [0, 1], "L": 5.0, "alpha": 0.5},
+     ["ts", "ws"], ["L", "alpha"]),
+    ({"L": 0.1, "alpha": 1.0}, ["L"], ["alpha"]),
+    ({"family": "lipschitz", "ts": [0, 1], "ws": [0, 1]}, ["L"], ["ts", "ws"]),
+    ({"family": "holder", "L": 0.1, "alpha": 0.5, "ts": [0, 1]}, ["L", "alpha"], ["ts"])],
+    ids=["tabulated", "lipschitz-alpha", "lipschitz-table", "holder"])
+@pytest.mark.parametrize("command", ["certify", "solve"])
+def test_an_omega_key_that_the_family_does_not_read_is_refused(
+        tmp_path, capsys, monkeypatch, command, omega, reads, unread):
+    # the report used to echo keys that the run never read
+    _no_work(monkeypatch)
+    family = omega.get("family", "lipschitz")
+    cfg = solve_config(tmp_path, bounds={"mode": "explicit",
+                                         "explicit": {"nu": 0.8, "omega": omega}})
+    assert cli.main([command, "--config", write_config(tmp_path, **cfg)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error at bounds.explicit.omega: family {family!r} reads only {reads}, "
+        f"got {unread}\n")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_a_null_omega_key_is_not_given(tmp_path):
+    omega = {"family": "lipschitz", "L": 0.1, "ts": None, "ws": None}
+    cfg = solve_config(tmp_path, bounds={"mode": "explicit",
+                                         "explicit": {"nu": 0.8, "omega": omega}})
+    assert cli.main(["certify", "--config", write_config(tmp_path, **cfg), "--fixed-clock"]) == 0
+
+
 def test_failed_estimation_certifies_nothing_and_solves_uncertified(tmp_path):
     # indefinite2d's sampled acuteness is negative, so no bounds can be estimated
     cfg = solve_config(tmp_path, problem={"name": "indefinite2d"},
@@ -503,9 +577,7 @@ def test_value_of_another_type_is_refused_before_any_work(tmp_path, capsys, comm
 def test_a_vartheta_that_no_rule_reads_is_refused_before_any_work(tmp_path, capsys,
                                                                    monkeypatch, command):
     # steepest descent at vartheta 1.5 used to run at 1 and echo 1.5 in the report
-    for module, name in ((cli.majorant, "certify"), (cli.methods, "solve"),
-                         (cli.estimator, "sample_estimates")):
-        monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("work ran"))
+    _no_work(monkeypatch)
     cfg = solve_config(tmp_path, method={"family": "steepest_descent", "vartheta": 1.5})
     assert cli.main([command, "--config", write_config(tmp_path, **cfg)]) == 1
     assert capsys.readouterr().err == (

@@ -281,6 +281,17 @@ def test_estimate_theta_rejects_radius_beyond_ball():
         estimate_theta(gc.quad2d(), gc.MethodSpec(gc.MIN_CO_ERROR), EUC, 2.0, plan)
 
 
+@pytest.mark.parametrize("r, space", [(50.0, EUC), (math.nan, EUC), (-1.0, EUC),
+                                      (0.5, gc.sequence_p(4))],
+                         ids=["beyond-R", "nan", "negative", "l4"])
+@pytest.mark.parametrize("family", [gc.MIN_RESIDUAL, gc.MIN_CO_ERROR])
+def test_estimate_theta_checks_its_inputs_for_every_family(family, r, space):
+    # T = I families used to return 1.0 before any check
+    plan = gc.SamplePlan(seed=16, n_points=4, n_dirs=16)
+    with pytest.raises(ArgumentError):
+        estimate_theta(gc.quad2d(), gc.MethodSpec(family), space, r, plan)
+
+
 @pytest.mark.parametrize("r", [-0.5, math.nan])
 def test_estimator_rejects_negative_or_nan_radius(r):
     plan = gc.SamplePlan(seed=16, n_points=4, n_dirs=16)

@@ -472,15 +472,82 @@ def test_bound_data_requires_mu_or_nu():
     gc.BoundData(lam=1.0, theta=1.0, omega=gc.LipschitzModulus(0.0), R=1.0, mu=0.5)
 
 
-def test_bound_data_monotonicity_checked():
-    bad = gc.BoundData(lam=lambda r: 1.0 - r, theta=1.0,
-                       omega=gc.LipschitzModulus(0.0), R=1.0, mu=0.5)
-    with pytest.raises(ArgumentError):
-        bad.validate()
-    good = gc.BoundData(lam=lambda r: 1.0 + r, theta=1.0,
-                        omega=gc.LipschitzModulus(1.0), R=1.0,
-                        nu=lambda r: 1.0 / (1.0 + r), method=gc.MethodSpec(gc.MIN_RESIDUAL))
-    good.validate()
+def _bounds(lam=1.0, theta=1.0, omega=0.0, **mu_nu):
+    """BoundData on R = 1: constants, but for the fields given; omega a modulus or a Lipschitz L."""
+    mu_nu = mu_nu or {"mu": 0.5}
+    if "nu" in mu_nu:
+        mu_nu["method"] = gc.MethodSpec(gc.MIN_RESIDUAL)
+    if not isinstance(omega, (gc.HolderModulus, gc.TabulatedModulus)):
+        omega = gc.LipschitzModulus(omega)
+    return gc.BoundData(lam=lam, theta=theta, omega=omega, R=1.0, **mu_nu)
+
+
+_NOT_FINITE_L = "Holder constant L must be finite and >= 0"
+_BAD_TS = "tabulated t-grid must be finite and strictly increasing"
+
+
+@pytest.mark.parametrize("make, refusal", [
+    # refused: a bound that falls with r (nu that rises), or a negative L
+    (lambda: _bounds(lam=lambda r: 1.0 - r / 2), "lam violates monotonicity"),
+    (lambda: _bounds(theta=lambda r: 2.0 - r), "theta violates monotonicity"),
+    (lambda: _bounds(mu=lambda r: 0.5 - r / 4), "mu violates monotonicity"),
+    (lambda: _bounds(nu=lambda r: 0.5 + r / 4), "nu violates monotonicity"),
+    (lambda: _bounds(omega=gc.LipschitzModulus(lambda r: 1.0 - r / 2)), "L violates monotonicity"),
+    (lambda: _bounds(omega=-0.5), _NOT_FINITE_L),
+    (lambda: _bounds(omega=gc.HolderModulus(-1.0, 0.5)), _NOT_FINITE_L),
+    (lambda: _bounds(omega=gc.LipschitzModulus(lambda r: r - 0.5)), r"L\(0.0\) = -0.5"),
+    # refused since moduli check their shape when built: a non-finite L or t-node
+    (lambda: _bounds(omega=math.nan), _NOT_FINITE_L),
+    (lambda: _bounds(omega=math.inf), _NOT_FINITE_L),
+    (lambda: _bounds(omega=gc.HolderModulus(math.inf, 0.5)), _NOT_FINITE_L),
+    (lambda: _bounds(omega=gc.LipschitzModulus(lambda r: math.nan if r > 0.5 else 1.0)),
+     r"L\(0.53125\) = nan"),
+    (lambda: _bounds(omega=gc.TabulatedModulus([0.0, math.nan], [0.0, 1.0])), _BAD_TS),
+    (lambda: _bounds(omega=gc.TabulatedModulus([0.0, 1.0, math.nan], [0.0, 1.0, 1.0])), _BAD_TS),
+    (lambda: _bounds(omega=gc.TabulatedModulus([0.0, 1.0, math.inf], [0.0, 1.0, 1.0])), _BAD_TS),
+    # accepted
+    (lambda: _bounds(), None),
+    (lambda: _bounds(nu=0.8), None),
+    (lambda: _bounds(lam=lambda r: 1.0 - 1e-13 * r), None),  # within the rounding slack
+    (lambda: _bounds(lam=lambda r: 1.0 + r, theta=lambda r: 1.0 + r, mu=lambda r: 0.5 + r / 4,
+                     omega=gc.LipschitzModulus(lambda r: 1.0 + r)), None),
+    (lambda: _bounds(lam=lambda r: 1.0 + r, nu=lambda r: 1.0 / (1.0 + r), omega=1.0), None),
+    (lambda: _bounds(omega=gc.HolderModulus(2.0, 0.5)), None),
+    (lambda: _bounds(omega=gc.TabulatedModulus([0.0, 1.0, 2.0], [0.0, 0.5, 0.5])), None),
+], ids=["lam", "theta", "mu", "nu", "L(r)", "negative-L", "negative-holder-L", "negative-L(r)",
+        "nan-L", "inf-L", "inf-holder-L", "nan-L(r)", "nan-ts", "nan-last-ts", "inf-ts",
+        "constants", "constant-nu", "slack", "rising", "falling-nu", "holder", "tabulated"])
+def test_bound_data_monotonicity_checked(make, refusal):
+    if refusal is None:
+        make().validate()
+    else:
+        with pytest.raises(ArgumentError, match=refusal):
+            make().validate()
+
+
+class _CountedFloat(float):
+    """A float that counts how often it is read as a float."""
+
+    def __float__(self):
+        self.reads = getattr(self, "reads", 0) + 1
+        return float.__float__(self)
+
+
+@pytest.mark.parametrize("omega", [gc.LipschitzModulus(2.0), gc.HolderModulus(2.0, 0.5),
+                                   gc.TabulatedModulus([0.0, 1.0], [0.0, 3.0])],
+                         ids=["lipschitz", "holder", "tabulated"])
+def test_validate_reads_functions_of_r_on_the_grid_and_constants_once(monkeypatch, omega):
+    radii = []
+
+    def lam(r):
+        radii.append(r)
+        return 1.0
+
+    theta = _CountedFloat(1.0)
+    monkeypatch.setattr(omega, "integral", lambda *a: pytest.fail("validate evaluated omega"))
+    gc.BoundData(lam=lam, theta=theta, omega=omega, R=3.0, mu=0.5).validate()
+    assert radii == list(np.linspace(0.0, 3.0, majorant._VALIDATE_GRID))
+    assert theta.reads == 1
 
 
 def test_mu_derivation_uses_sigma():
