@@ -2,7 +2,8 @@
 """Digest every CLI output of a checkout, to prove a refactor changed no byte.
 
 Runs ``gradcert <command> --fixed-clock`` for each config under estimate,
-certify, solve and verify-space, using the ``src`` of the given checkout.
+certify, solve and verify-space, and ``gradcert list-problems`` once, using
+the ``src`` of the given checkout.
 Each run gets its own working directory inside a temporary directory, so
 relative output paths (and the config echoed into the report) are the
 same for every checkout.  All runs share one child process, which puts the
@@ -12,6 +13,12 @@ capturing standard output; its exit codes are those of
 exception counts as 1.  Prints one line per report, trace and exit code:
 
     <config> <command> report|trace|exit <sha256 | absent | code>
+
+and last the digest of the standard output of ``list-problems``, which
+reads no config, and its exit code, with or without ``--fields``:
+
+    - list-problems report <sha256>
+    - list-problems exit <code>
 
 Diff the output for two checkouts; an empty diff means every report, trace
 and exit code is byte-identical.  A report that goes to standard output
@@ -96,19 +103,19 @@ def trace_lines(tag: str, data: bytes | None, fields: bool) -> list[str]:
 
 
 # The child process: argv is (src, jobs.json, results.json).  Each job is a
-# (working directory, command) pair; each result its exit code and stdout.
+# (working directory, CLI arguments) pair; each result its exit code and stdout.
 _CHILD = """
 import contextlib, io, json, os, sys, traceback
 src, jobs, results = sys.argv[1:]
 sys.path.insert(0, src)
 from gradcert import cli
 out = []
-for work, cmd in json.load(open(jobs)):
+for work, argv in json.load(open(jobs)):
     os.chdir(work)
     stdout = io.StringIO()
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main([cmd, "--config", "config.json", "--fixed-clock"])
+            code = cli.main(argv)
     except SystemExit as exc:
         code = exc.code
     except Exception:
@@ -134,10 +141,13 @@ def digest(checkout: Path, configs: list[Path], fields: bool = False) -> list[st
                 shutil.copy(cfg, work / "config.json")
                 runs.append((cfg, cmd, work))
         jobs, results = Path(tmp) / "jobs.json", Path(tmp) / "results.json"
-        jobs.write_text(json.dumps([(str(work), cmd) for _, cmd, work in runs]))
+        jobs.write_text(json.dumps(
+            [(str(work), [cmd, "--config", "config.json", "--fixed-clock"])
+             for _, cmd, work in runs] + [(tmp, ["list-problems"])]))
         subprocess.run([sys.executable, "-c", _CHILD, str(checkout / "src"), str(jobs),
                         str(results)], cwd=tmp, env=env, check=True)
-        for (cfg, cmd, work), (code, stdout) in zip(runs, json.loads(results.read_text())):
+        *outputs, (listed_code, listing) = json.loads(results.read_text())
+        for (cfg, cmd, work), (code, stdout) in zip(runs, outputs):
             output = json.loads(cfg.read_text()).get("output") or {}
             tag = f"{cfg.name} {cmd}"
             report = work / (output.get("report_path") or "-")
@@ -146,6 +156,8 @@ def digest(checkout: Path, configs: list[Path], fields: bool = False) -> list[st
             trace = work / (output.get("trace_path") or "-")
             lines += trace_lines(tag, trace.read_bytes() if trace.is_file() else None, fields)
             lines.append(f"{tag} exit {code}")
+        lines += [f"- list-problems report {_sha(listing.encode())}",
+                  f"- list-problems exit {listed_code}"]
     return lines
 
 

@@ -2,8 +2,8 @@
 
 Solves nonlinear operator equations f(x) = 0 by residual-driven steps
 x_{n+1} = x_n - Lambda(x_n, f(x_n)) T(x_n) f(x_n) (minimal residuals,
-steepest descent, minimal errors and friends, plus semiscalar analogues
-for finite-dimensional l_p geometry), and computes the scalar majorant
+steepest descent, minimal errors and friends; the identity-T rules also
+run in finite-dimensional l_p geometry), and computes the scalar majorant
 certificates that guarantee convergence and yield a priori / a posteriori
 error bounds.
 """

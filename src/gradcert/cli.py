@@ -76,8 +76,9 @@ def _unset(default) -> bool:
 def _check_keys(obj: dict, table: dict, path: str) -> None:
     """Reject an unknown key at ``path``, or a value not of its key's type.
 
-    A float takes any number but a bool; int and bool are exact; null is
-    taken only where the key is null until given.
+    A float takes any number but a bool, and an integer only within the
+    float range; int and bool are exact; null is taken only where the key is
+    null until given.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"config error at {path}: expected an object")
@@ -94,6 +95,12 @@ def _check_keys(obj: dict, table: dict, path: str) -> None:
         if not (type(value) is kind or kind is float and type(value) is int):
             raise ConfigError(
                 f"config error at {path}: {key} must be {_KINDS[kind]}, got {value!r}")
+        if kind is float and type(value) is int:
+            try:
+                float(value)
+            except OverflowError:
+                raise ConfigError(f"config error at {path}: {key} must be a number, "
+                                  "got an integer beyond the float range") from None
         if kind is dict and default:
             _check_keys(value, default, f"{path}.{key}")
 
@@ -109,7 +116,7 @@ def _at(path: str):
     """Report a bad config value below ``path`` as a ConfigError naming it."""
     try:
         yield
-    except (ArgumentError, TypeError, ValueError) as exc:
+    except (ArgumentError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config error at {path}: {exc}")
 
 
@@ -121,6 +128,8 @@ def load_config(path: str) -> dict:
         raise ConfigError(
             f"config parse error in {path} at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}")
+    except ValueError as exc:  # an integer of more digits than int() converts
+        raise ConfigError(f"config parse error in {path}: {exc}")
     _check_keys(cfg, dict.fromkeys(_DEFAULTS, {}), "<root>")
     for section, table in _DEFAULTS.items():
         if section in cfg:

@@ -27,10 +27,11 @@ ratios are scored by the polish's objectives, ``_AcuteRatio`` and
 ``_StepRatio``: at each ball point the sweep images the direction set by
 one ``images`` call and scores both ratios from it, and images the unit
 residual f(x)/||f(x)||, whose one value is both the trajectory ratio and
-an acuteness candidate.  A non-finite Jacobian or image at a ball point or
-a polish candidate raises ArgumentError, and so does an image or residual
-whose norm overflows.  The ``Estimates`` record holds the five values as
-Python floats; the ``estimate_*`` functions read that record.
+an acuteness candidate.  A non-finite Jacobian at a ball or axis point, or
+image at a ball point or a polish candidate, raises ArgumentError, and so
+does an image or residual whose norm overflows.  The ``Estimates`` record
+holds the five values as Python floats; the ``estimate_*`` functions read
+that record.
 
 The polish is a coordinate descent that accepts the first improving
 candidate in sweep order.  Directions and points follow one block rule:
@@ -52,6 +53,8 @@ from .majorant import BoundData, LipschitzModulus
 from .methods import MethodSpec
 # bench/tracer.py wraps norm, norm_rows and semiscalar_rows as globals of this module
 from .spaces import SpaceGeometry, norm, norm_duality_rows, norm_rows, semiscalar_rows
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -311,14 +314,21 @@ def _matrix_norm(space: SpaceGeometry, M: np.ndarray) -> float:
 
 
 def _matrix_norm_bound(space: SpaceGeometry, M: np.ndarray) -> float:
-    """Cheap upper bound of ``_matrix_norm``: ||M||_2 <= sqrt(||M||_1 ||M||_inf).
+    """Cheap upper bound of ``_matrix_norm``: the smaller of sqrt(||M||_1 ||M||_inf)
+    and ||M||_F, each at least ||M||_2.
 
     Exact arithmetic gives ``_matrix_norm <= bound``; in floating point
-    either side can be off by rounding, which a relative margin of 1e-12
-    covers.
+    either side can be off by rounding.  The first is a product of square
+    roots, which cannot underflow to 0.  ||M||_F is taken only where the
+    largest entry lies in [2^-480, 2^480], so no square that counts under- or
+    overflows, and is inflated by (1 + size eps) to cover the rounding of its
+    squares and their sum; a relative margin of 1e-12 covers the rest.
     """
     A = np.abs(M)
-    ub = math.sqrt(float(A.sum(axis=0).max()) * float(A.sum(axis=1).max()))
+    ub = math.sqrt(float(A.sum(axis=0).max())) * math.sqrt(float(A.sum(axis=1).max()))
+    if 2.0 ** -480 <= float(A.max()) <= 2.0 ** 480:
+        v = A.ravel()
+        ub = min(ub, math.sqrt(float(v @ v)) * (1.0 + M.size * _EPS))
     return ub * _induced_scale(space, M.shape[0])
 
 
@@ -330,7 +340,10 @@ class _LipschitzPairs:
     t = 1 axis points, so ``visit``, which takes the ball points in order,
     reuses their Jacobians and keeps only the center's and the previous
     point's.  A pair whose cheap bound cannot raise the maximum skips its
-    SVD; the maximum is the same bit for bit.
+    SVD; the maximum is the same bit for bit.  A Jacobian taken or evaluated
+    with a non-finite entry raises ArgumentError before any bound: a NaN
+    would make both cheap bounds NaN and fail the SVD, and an inf would
+    drop its pairs.
     """
 
     def __init__(self, problem, space, center, r):
@@ -340,6 +353,7 @@ class _LipschitzPairs:
         self.J0 = self.prev = None
 
     def visit(self, k: int, x: np.ndarray, J: np.ndarray) -> None:
+        self._check(J, f"sampled ball point {k}")
         if k == 0:
             self.J0 = J
         else:
@@ -351,19 +365,29 @@ class _LipschitzPairs:
     def value(self) -> float | None:
         return self.best if self.n_used else None
 
+    def _check(self, J: np.ndarray, where: str) -> None:
+        if not np.isfinite(J).all():
+            raise ArgumentError(f"problem {self.problem.name!r}: the Jacobian at {where} "
+                                "has non-finite entries")
+
     def _axis_pairs(self, i: int, plus: bool, J_unit) -> None:
         c, e, r = self.center, self.eye[i], self.r
         for t in (1.0, 0.5, 0.25):
             x2 = c + t * r * e if plus else c - t * r * e
-            self._pair(c, self.J0, x2, J_unit if t == 1.0 else None)
+            self._pair(c, self.J0, x2, J_unit if t == 1.0 else None,
+                       f"axis point x0 {'+' if plus else '-'} {t} r e_{i}")
 
-    def _pair(self, x1, J1, x2, J2) -> None:
+    def _pair(self, x1, J1, x2, J2, where: str = "") -> None:
+        """Raise the running max by the pair's quotient; ``J2`` None is J(x2), at ``where``."""
         space = self.space
         dist = norm(space, x1 - x2)
         if dist <= 1e-14 * (1.0 + norm(space, x1)):
             return
         self.n_used += 1
-        D = J1 - (_jacobian(self.problem, x2) if J2 is None else J2)
+        if J2 is None:
+            J2 = _jacobian(self.problem, x2)
+            self._check(J2, where)
+        D = J1 - J2
         if _matrix_norm_bound(space, D) * (1.0 + 1e-12) / dist <= self.best:
             return
         self.best = max(self.best, _matrix_norm(space, D) / dist)
@@ -395,8 +419,8 @@ def sample_estimates(problem, method: MethodSpec, space: SpaceGeometry,
 
     def non_finite(k):
         return ArgumentError(
-            f"problem {problem.name!r}: the Jacobian at sampled ball point {k} "
-            "or an image there has non-finite entries")
+            f"problem {problem.name!r}: an image at sampled ball point {k} "
+            "has non-finite entries")
 
     nu, nu_xh = math.inf, (pts[0], H0[0])
     lam, lam_xh = -math.inf, (pts[0], H0[0])
@@ -404,12 +428,12 @@ def sample_estimates(problem, method: MethodSpec, space: SpaceGeometry,
     theta = None if adjoint else 1.0
     lip = _LipschitzPairs(problem, space, center, r)
     for k, x in enumerate(pts):
-        # the Jacobian feeds the Lipschitz pairs and theta; a non-finite entry
-        # there, or in an image, would drop the point from every comparison below
+        # the Lipschitz pairs check the Jacobian, which also feeds theta; a
+        # non-finite image would drop the point from every comparison below
         J = _jacobian(problem, x)
-        if not (np.isfinite(J).all() and np.isfinite(W := images(x, H0)).all()):
-            raise non_finite(k)
         lip.visit(k, x, J)
+        if not np.isfinite(W := images(x, H0)).all():
+            raise non_finite(k)
         if adjoint:
             tn = _matrix_norm(space, J.T)
             theta = tn if theta is None else max(theta, tn)

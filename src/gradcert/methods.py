@@ -3,8 +3,10 @@
 Every method here advances by ``x_{n+1} = x_n - Lambda(x_n, f(x_n)) * T(x_n) f(x_n)``
 with T either the identity or the Jacobian transpose, and Lambda one of the
 classical scalar step rules (minimal residuals, minimal co-errors, steepest
-descent and its relaxed variant, minimal errors and its relaxed variant)
-or their semiscalar analogues for l_p geometry.
+descent and its relaxed variant, minimal errors and its relaxed variant).
+The step scalar reads only the space's pairing, norm and sigma, so the rule,
+not its name, decides the geometry: every T = I rule runs in each l_p, and
+the T = f'^T rules need Euclidean space.
 
 ``solve`` records a full per-step trace; ``verify_relaxation`` replays a
 trace against a majorant certificate and reports every violated per-step
@@ -42,7 +44,7 @@ class _Rule(NamedTuple):
     relaxed: bool     # an Altman variant: vartheta scales the denominator
 
 
-# The banach_* names are the rules of their Hilbert counterparts, admitted in l_p.
+# The banach_* names are the rules of their namesakes without the prefix.
 _RULES = {
     MIN_RESIDUAL: _Rule(False, True, False),
     MIN_CO_ERROR: _Rule(True, True, False),
@@ -68,7 +70,8 @@ class MethodSpec:
     """A step family plus the relaxation parameter of the Altman variants.
 
     Only an Altman variant reads vartheta; every other family is the
-    vartheta = 1 case and refuses any other value.
+    vartheta = 1 case and refuses any other value.  The family's rule, not
+    its name, decides the spaces it runs in (``check_space``).
     """
 
     family: str
@@ -100,22 +103,15 @@ class MethodSpec:
         return majorant.mu_altman_family(nu, self.vartheta, sigma)
 
     def check_space(self, space: SpaceGeometry) -> None:
-        """Reject incompatible geometry as a typed configuration error.
+        """Reject a rule with T = f'^T outside Euclidean space, as a typed config error.
 
-        Adjoint-based families need the inner product to transpose against,
-        and the inner-product step formulas presuppose the Euclidean norm,
-        so only the semiscalar families may run in l_p with p > 2.
+        The adjoint needs the inner product to transpose against; a T = I rule
+        reads only the space's pairing, norm and sigma, so it runs in every l_p.
         """
-        if space.p == 2.0:
-            return
-        if self.uses_adjoint:
+        if space.p != 2.0 and self.uses_adjoint:
             raise ArgumentError(
                 f"{self.family} uses the adjoint and is not defined outside "
                 "Euclidean geometry")
-        if self.family in HILBERT_FAMILIES:
-            raise ArgumentError(
-                f"{self.family} presupposes Euclidean geometry; use the "
-                "banach_* analogue for sequence_p spaces")
 
 
 def _sq(space: SpaceGeometry, v: np.ndarray) -> float:

@@ -285,17 +285,47 @@ def test_bad_family_rejected(tmp_path):
     assert cli.main(["solve", "--config", rc]) == 1
 
 
+@pytest.mark.parametrize("family", ["min_co_error", "min_error", "altman_min_error"])
 @pytest.mark.parametrize("command", ["solve", "certify", "estimate"])
-def test_adjoint_family_in_p4_rejected(tmp_path, capsys, command):
-    cfg = solve_config(tmp_path, method={"family": "min_error"},
+def test_adjoint_family_in_p4_rejected(tmp_path, capsys, command, family):
+    cfg = solve_config(tmp_path, method={"family": family},
                        space={"kind": "sequence_p", "p": 4.0},
                        bounds={"mode": "explicit",
                                "explicit": {"mu": 0.5, "lam": 1.0, "theta": 1.0}})
     rc = write_config(tmp_path, **cfg)
     assert cli.main([command, "--config", rc]) == 1
     assert capsys.readouterr().err == (
-        "config error at method/space: min_error uses the adjoint and is not "
+        f"config error at method/space: {family} uses the adjoint and is not "
         "defined outside Euclidean geometry\n")
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
+@pytest.mark.parametrize("command", ["estimate", "certify", "solve"])
+@pytest.mark.parametrize("family", ["min_residual", "steepest_descent",
+                                    "altman_steepest_descent"])
+def test_identity_t_rule_in_lp_runs_as_its_banach_twin(tmp_path, monkeypatch, command,
+                                                       family, p):
+    # the rule, not the name, picks the geometry: each report, but for the
+    # echoed family, and each trace are those of the banach_* twin
+    outputs = []
+    for name in (family, "banach_" + family):
+        work = tmp_path / name
+        work.mkdir()
+        monkeypatch.chdir(work)  # the same echoed output paths for both
+        cfg = solve_config(
+            work, problem={"name": "chandrasekhar", "params": {"c": 0.5, "n": 6}},
+            method={"family": name}, space={"kind": "sequence_p", "p": p},
+            bounds={"mode": "estimated",
+                    "plan": {"seed": 3, "n_points": 8, "n_dirs": 256, "refine": True}},
+            output={"report_path": "report.json", "trace_path": "trace.csv"})
+        code = cli.main([command, "--config", write_config(work, **cfg), "--fixed-clock"])
+        report = (work / "report.json").read_text()
+        assert json.loads(report)["config"]["method"]["family"] == name
+        trace = work / "trace.csv"
+        outputs.append((code, report.replace(f'"family": "{name}"', '"family": "-"', 1),
+                        trace.read_bytes() if trace.exists() else None))
+    assert outputs[0][0] != cli.EXIT_CONFIG
+    assert outputs[0] == outputs[1]
 
 
 def test_bad_config_value_type_is_config_error(tmp_path, capsys):
@@ -342,6 +372,43 @@ def test_res_tol_that_is_not_a_number_is_config_error(tmp_path, capsys, value):
     assert cli.main(["solve", "--config", write_config(tmp_path, **cfg)]) == 1
     assert capsys.readouterr().err.startswith(
         f"config error at run: res_tol must be a number, got {value!r}")
+
+
+@pytest.mark.parametrize("command, section, key", [
+    ("solve", "run", "res_tol"), ("certify", "bounds.explicit", "lam"),
+    ("certify", "bounds.explicit.omega", "L"), ("solve", "method", "vartheta"),
+    ("solve", "space", "p")])
+def test_an_integer_beyond_the_float_range_is_config_error(tmp_path, capsys, command,
+                                                           section, key):
+    # float() of a 401-digit integer raised an untyped OverflowError
+    cfg = solve_config(tmp_path, bounds={"mode": "explicit", "explicit": {"mu": 0.5}},
+                       space={"kind": "sequence_p", "p": 2.0})
+    *parents, last = section.split(".")
+    leaf = cfg
+    for name in parents:
+        leaf = leaf[name]
+    leaf = leaf.setdefault(last, {})
+    leaf[key] = 10 ** 400
+    assert cli.main([command, "--config", write_config(tmp_path, **cfg)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error at {section}: {key} must be a number, "
+        "got an integer beyond the float range\n")
+
+
+def test_an_integer_beyond_the_parse_limit_is_config_error(tmp_path, capsys):
+    # json.loads raised a bare ValueError past 4,300 digits
+    rc = tmp_path / "cfg.json"
+    rc.write_text(json.dumps(solve_config(tmp_path)).replace("1e-10", "9" * 5000))
+    assert cli.main(["solve", "--config", str(rc)]) == 1
+    assert capsys.readouterr().err.startswith(f"config parse error in {rc}: ")
+
+
+def test_an_integer_beyond_the_float_range_in_a_list_is_config_error(tmp_path, capsys):
+    omega = {"family": "tabulated", "ts": [0.0, 10 ** 400], "ws": [0.0, 1.0]}
+    cfg = solve_config(tmp_path, bounds={"mode": "explicit",
+                                         "explicit": {"mu": 0.5, "omega": omega}})
+    assert cli.main(["certify", "--config", write_config(tmp_path, **cfg)]) == 1
+    assert capsys.readouterr().err.startswith("config error at bounds.explicit: ")
 
 
 @pytest.mark.parametrize("command", ["solve", "certify"])

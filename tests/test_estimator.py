@@ -281,10 +281,12 @@ def test_estimate_theta_rejects_radius_beyond_ball():
         estimate_theta(gc.quad2d(), gc.MethodSpec(gc.MIN_CO_ERROR), EUC, 2.0, plan)
 
 
-@pytest.mark.parametrize("r, space", [(50.0, EUC), (math.nan, EUC), (-1.0, EUC),
-                                      (0.5, gc.sequence_p(4))],
-                         ids=["beyond-R", "nan", "negative", "l4"])
-@pytest.mark.parametrize("family", [gc.MIN_RESIDUAL, gc.MIN_CO_ERROR])
+@pytest.mark.parametrize("family, r, space", [
+    pytest.param(family, r, space, id=f"{family}-{name}")
+    for family in (gc.MIN_RESIDUAL, gc.MIN_CO_ERROR)
+    for name, r, space in [("beyond-R", 50.0, EUC), ("nan", math.nan, EUC),
+                           ("negative", -1.0, EUC), ("l4", 0.5, gc.sequence_p(4))]
+    if name != "l4" or family == gc.MIN_CO_ERROR])  # a T = I rule runs in l4
 def test_estimate_theta_checks_its_inputs_for_every_family(family, r, space):
     # T = I families used to return 1.0 before any check
     plan = gc.SamplePlan(seed=16, n_points=4, n_dirs=16)
@@ -429,6 +431,58 @@ def test_matrix_norm_bound_is_an_upper_bound(shape, scale, seed, space):
     M = np.random.default_rng(seed).standard_normal(shape) * 10.0 ** scale
     bound = estimator._matrix_norm_bound(space, M)
     assert bound * (1.0 + 1e-12) >= estimator._matrix_norm(space, M)
+
+
+@pytest.mark.parametrize("n", [1, 8, 80, 320])
+@pytest.mark.parametrize("scale", [1e-170, 1e-140, 1.0, 1e140, 1e150],
+                         ids=["tiny", "small", "unit", "large", "huge"])
+def test_matrix_norm_bound_holds_where_the_frobenius_norm_is_sharp(n, scale):
+    # on a rank-one matrix ||M||_F = ||M||_2, so only the inflation of the
+    # Frobenius term covers its rounding; the squares of 1e-170 underflow
+    # and those of 1e150 may overflow, where the other bound must hold alone
+    rng = np.random.default_rng(n)
+    M = np.outer(rng.standard_normal(n), rng.standard_normal(n)) * scale
+    bound = estimator._matrix_norm_bound(EUC, M)
+    assert 0.0 < estimator._matrix_norm(EUC, M) <= bound * (1.0 + 1e-12) < math.inf
+
+
+def test_few_lipschitz_pairs_need_an_svd(monkeypatch):
+    # the Frobenius norm bounds most pairs below the running maximum; with
+    # sqrt(||D||_1 ||D||_inf) alone 61 of the pairs took an SVD
+    p = gc.chandrasekhar(0.5, 80)
+    calls = []
+    matrix_norm = estimator._matrix_norm
+    monkeypatch.setattr(estimator, "_matrix_norm",
+                        lambda space, M: calls.append(1) or matrix_norm(space, M))
+    plan = gc.SamplePlan(seed=7, n_points=64, n_dirs=128)
+    assert gc.estimate_omega_lipschitz(p, p.R, plan) > 0.0
+    assert 1 <= len(calls) <= 8
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("t", [0.5, 0.25])
+def test_non_finite_jacobian_at_an_axis_point_is_an_error(value, t):
+    # x0 + t R e_0 is no ball point; a nan there made both cheap bounds nan
+    # and failed the SVD with LinAlgError, and an inf was skipped
+    p = gc.chandrasekhar(0.5, 6)
+    plan = gc.SamplePlan(seed=3, n_points=8, n_dirs=32, refine=False)
+    point = np.asarray(p.x0, dtype=float) + t * p.R * np.eye(6)[0]
+    poisoned = _poisoned(p, point, value)
+    match = rf"'chandrasekhar'.* axis point x0 \+ {t} r e_0 .*non-finite"
+    with pytest.raises(ArgumentError, match=match):
+        gc.sample_estimates(poisoned, SD, EUC, p.R, plan)
+    with pytest.raises(ArgumentError, match=match):
+        gc.estimate_omega_lipschitz(poisoned, p.R, plan)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+def test_omega_lipschitz_refuses_a_non_finite_jacobian_at_a_ball_point(value):
+    # ball point 1 is x0 + R e_0; the omega-only pass checked no Jacobian
+    p = gc.chandrasekhar(0.5, 6)
+    plan = gc.SamplePlan(seed=3, n_points=8, n_dirs=32)
+    point = np.asarray(p.x0, dtype=float) + p.R * np.eye(6)[0]
+    with pytest.raises(ArgumentError, match="'chandrasekhar'.* ball point 1 .*non-finite"):
+        gc.estimate_omega_lipschitz(_poisoned(p, point, value), p.R, plan)
 
 
 @pytest.mark.parametrize("space", [EUC, gc.sequence_p(3)], ids=["euclidean", "p3"])

@@ -193,9 +193,8 @@ def test_method_spec_validation():
     for fam in (gc.MIN_ERROR, gc.MIN_CO_ERROR, gc.ALTMAN_MIN_ERROR):
         with pytest.raises(ArgumentError):
             gc.MethodSpec(fam).check_space(sp4)
-    with pytest.raises(ArgumentError):
-        gc.MethodSpec(gc.MIN_RESIDUAL).check_space(sp4)
-    gc.MethodSpec(gc.BANACH_MIN_RESIDUAL).check_space(sp4)
+    for fam in (gc.MIN_RESIDUAL, gc.BANACH_MIN_RESIDUAL):  # the rule decides, not the name
+        gc.MethodSpec(fam).check_space(sp4)
     gc.MethodSpec(gc.MIN_ERROR).check_space(gc.sequence_p(2))  # p=2 degenerates
 
 

@@ -21,15 +21,21 @@ def test_certificate_demo_runs(tmp_path):
 
 def test_fixed_clock_digest_is_stable(tmp_path):
     # one line per report, trace and exit code of each of the four commands,
-    # and the same lines on a second run of the same checkout
+    # two for list-problems, and the same lines on a second run of the same checkout
     cmd = [sys.executable, str(ROOT / "scripts" / "fixed_clock_digest.py"), str(ROOT),
            str(ROOT / "configs" / "quad2d_certify.json")]
     runs = [subprocess.run(cmd, cwd=tmp_path, capture_output=True, text=True, check=True)
             .stdout.splitlines() for _ in range(2)]
-    assert len(runs[0]) == 12
+    assert len(runs[0]) == 14
     assert runs[0] == runs[1]
     assert {line.split()[1] for line in runs[0]} == {
-        "estimate", "certify", "solve", "verify-space"}
+        "estimate", "certify", "solve", "verify-space", "list-problems"}
+
+
+def _python_m(args, cwd):
+    return subprocess.run([sys.executable, "-m", "gradcert", *args], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True)
 
 
 def _digest_module():
@@ -47,19 +53,28 @@ def test_fixed_clock_digest_lines_are_those_of_python_m_runs(tmp_path):
     config = tmp_path / "quad2d.json"
     config.write_text(json.dumps({k: v for k, v in json.loads(
         (ROOT / "configs" / "quad2d_certify.json").read_text()).items() if k != "output"}))
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     expected = []
     for cmd in digest.COMMANDS:
         work = tmp_path / cmd
         work.mkdir()
         shutil.copy(config, work / "config.json")
-        proc = subprocess.run([sys.executable, "-m", "gradcert", cmd, "--config", "config.json",
-                               "--fixed-clock"], cwd=work, env=env, capture_output=True)
+        proc = _python_m([cmd, "--config", "config.json", "--fixed-clock"], work)
         tag = f"quad2d.json {cmd}"
         expected += [*digest.report_lines(tag, proc.stdout, False), f"{tag} trace absent",
                      f"{tag} exit {proc.returncode}"]
     assert {line.split()[-1] for line in expected if " exit " in line} == {"0", "3"}
-    assert digest.digest(ROOT, [config]) == expected
+    assert digest.digest(ROOT, [config]) == expected + digest.digest(ROOT, [])
+
+
+def test_fixed_clock_digest_covers_list_problems(tmp_path):
+    # with no configs the digest is the list-problems stdout digest and exit
+    # code, the same with --fields
+    digest = _digest_module()
+    proc = _python_m(["list-problems"], tmp_path)
+    expected = [f"- list-problems report {digest._sha(proc.stdout)}",
+                f"- list-problems exit {proc.returncode}"]
+    assert proc.returncode == 0
+    assert digest.digest(ROOT, []) == digest.digest(ROOT, [], fields=True) == expected
 
 
 def test_numeric_leaves_name_each_number_by_its_json_path():
@@ -80,6 +95,9 @@ def test_fixed_clock_digest_fields_lists_every_numeric_leaf(tmp_path):
                       for extra in ([], ["--fields"]))
     assert [line for line in fields if " exit " in line] == [
         line for line in digest if " exit " in line]
+    # the list-problems pair ends both; it keeps its digest
+    assert fields[-2:] == digest[-2:]
+    fields = fields[:-2]
     assert not any(" report " in line for line in fields)
     for line in fields:
         name, command, path, value = line.split(" ")
