@@ -16,9 +16,8 @@ from .estimator import (Estimates, SamplePlan, estimate_lambda_tilde,
                         sample_estimates)
 from .majorant import (BoundData, HolderModulus, LipschitzModulus,
                        MajorantCertificate, RelaxationMap, TabulatedModulus,
-                       altman_validity_threshold, aposteriori_bound,
-                       apriori_bound, apriori_bounds, certify, majorant_sum,
-                       mu_altman_family, mu_min_family, smallest_fixed_point)
+                       aposteriori_bound, apriori_bound, apriori_bounds,
+                       certify, majorant_sum, smallest_fixed_point)
 from .methods import (ALL_FAMILIES, ALTMAN_MIN_ERROR, ALTMAN_STEEPEST_DESCENT,
                       BANACH_ALTMAN_STEEPEST_DESCENT, BANACH_FAMILIES,
                       BANACH_MIN_RESIDUAL, BANACH_STEEPEST_DESCENT,

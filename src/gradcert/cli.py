@@ -140,10 +140,14 @@ def load_config(path: str) -> dict:
 def _resolved(cfg: dict) -> dict:
     """Fill defaults so the embedded config fully describes the run."""
     rc = {section: _filled(table, cfg.get(section)) for section, table in _DEFAULTS.items()}
-    if rc["run"]["max_iter"] < 1:  # certify builds no StopRule to refuse it
-        raise ConfigError(
-            f"config error at run: max_iter must be >= 1, got {rc['run']['max_iter']}")
+    _stop_rule(rc)  # every subcommand refuses the stop rule that solve would
     return rc
+
+
+def _stop_rule(rc: dict) -> methods.StopRule:
+    with _at("run"):
+        return methods.StopRule(res_tol=float(rc["run"]["res_tol"]),
+                                max_iter=rc["run"]["max_iter"])
 
 
 def _build_space(rc: dict) -> spaces.SpaceGeometry:
@@ -297,9 +301,7 @@ def _certified(rc: dict):
 
 
 def cmd_solve(rc: dict, fixed_clock: bool) -> int:
-    with _at("run"):
-        stop = methods.StopRule(res_tol=float(rc["run"]["res_tol"]),
-                                max_iter=rc["run"]["max_iter"])
+    stop = _stop_rule(rc)
     problem, space, method, bounds_note, cert = _certified(rc)
     attach = cert is not None and cert.feasible
     trace = methods.solve(problem, method, space, stop,
@@ -360,14 +362,16 @@ def cmd_estimate(rc: dict, fixed_clock: bool) -> int:
     problem, space, method = _build(rc)
     plan = _build_plan(rc)
     est = estimator.sample_estimates(problem, method, space, problem.R, plan)
-    nu, sigma, th = est.nu_tilde, space.sigma, method.vartheta
+    nu, sigma = est.nu_tilde, space.sigma
+    # both contraction rules, the relaxed one at the method's vartheta
+    relaxed = methods.MethodSpec(methods.ALTMAN_STEEPEST_DESCENT, method.vartheta)
     mu_min = mu_alt = altman_valid = None
-    threshold = majorant.altman_validity_threshold(th, sigma)
+    threshold = relaxed.threshold(sigma)
     if 0.0 < nu <= 1.0:
-        mu_min = majorant.mu_min_family(nu, sigma)
+        mu_min = methods.MethodSpec(methods.MIN_RESIDUAL).mu(nu, sigma)
         altman_valid = nu > threshold
         if altman_valid:
-            mu_alt = majorant.mu_altman_family(nu, th, sigma)
+            mu_alt = relaxed.mu(nu, sigma)
 
     acuteness_ok = nu > 0.0
     status = EXIT_OK if acuteness_ok else EXIT_VIOLATIONS

@@ -71,7 +71,11 @@ class HolderModulus:
         return self.L(r) if callable(self.L) else self.L
 
     def integral(self, r: float, t):
-        return self.constant(r) * t ** (1.0 + self.alpha) / (1.0 + self.alpha)
+        try:
+            tp = t ** (1.0 + self.alpha)
+        except OverflowError:  # a float t beyond the range: the integral is inf
+            tp = math.inf
+        return self.constant(r) * tp / (1.0 + self.alpha)
 
     def is_zero(self, r: float) -> bool:
         return self.constant(r) == 0.0
@@ -126,50 +130,6 @@ class TabulatedModulus:
 
 
 # ---------------------------------------------------------------------------
-# contraction factors derived from the acuteness constant
-
-def mu_min_family(nu: float, sigma: float) -> float:
-    """Contraction factor of the quadratic-form-minimizing step.
-
-    Equals sqrt(1 - nu**2 / sigma): the normalized minimum of
-    ||h||^2 - 2 L [h, Bh] + sigma L^2 ||Bh||^2 over the step scalar L.
-    """
-    if not (0.0 < nu <= 1.0):
-        raise ArgumentError(f"nu must lie in (0, 1], got {nu}")
-    if sigma < 1.0:
-        raise ArgumentError(f"sigma must be >= 1, got {sigma}")
-    return math.sqrt(max(0.0, 1.0 - nu * nu / sigma))
-
-
-def altman_validity_threshold(vartheta: float, sigma: float) -> float:
-    """Smallest acuteness constant for which the relaxed step contracts."""
-    return math.sqrt(sigma / (2.0 * vartheta))
-
-
-def mu_altman_family(nu: float, vartheta: float, sigma: float) -> float:
-    """Contraction factor of the relaxed (Altman-type) step with parameter vartheta.
-
-    Equals sqrt(1 - 2/vartheta + sigma / (vartheta**2 * nu**2)); only valid
-    (mu < 1) when nu exceeds ``altman_validity_threshold``.
-    """
-    if not (0.0 < nu <= 1.0):
-        raise ArgumentError(f"nu must lie in (0, 1], got {nu}")
-    if not (0.0 < vartheta <= 2.0):
-        raise ArgumentError(f"vartheta must lie in (0, 2], got {vartheta}")
-    if sigma < 1.0:
-        raise ArgumentError(f"sigma must be >= 1, got {sigma}")
-    thr = altman_validity_threshold(vartheta, sigma)
-    if nu <= thr:
-        raise AssumptionError(
-            f"relaxed step not certifiable: nu={nu:.6g} <= validity threshold "
-            f"sqrt(sigma/(2*vartheta))={thr:.6g} gives mu >= 1")
-    radicand = 1.0 - 2.0 / vartheta + sigma / (vartheta * vartheta * nu * nu)
-    if radicand < -1e-12:
-        raise AssumptionError(f"negative radicand {radicand} in contraction formula")
-    return math.sqrt(max(0.0, radicand))
-
-
-# ---------------------------------------------------------------------------
 # bound data
 
 def _read(name: str, v, r: float) -> float:
@@ -187,7 +147,8 @@ class BoundData:
     ``lam`` and ``theta`` bound the step scalar and ||T(x)|| over the ball
     of radius r.  The contraction factor is either given directly (``mu``)
     or derived from an acuteness bound (``nu``) by the method's contraction
-    rule, ``method.mu(nu, sigma)``, at evaluation time; nu needs the method.
+    rule, ``method.mu(nu, sigma)``, at evaluation time; exactly one of the
+    two is given, and nu needs the method.
     All of ``lam``/``theta``/``mu``/``nu`` may be constants or functions
     of r; lam/theta/mu must be nondecreasing and nu nonincreasing.
     """
@@ -203,8 +164,8 @@ class BoundData:
     def __post_init__(self):
         if not (self.R > 0.0 and np.isfinite(self.R)):
             raise ArgumentError("ball radius R must be positive and finite")
-        if self.mu is None and self.nu is None:
-            raise ArgumentError("BoundData needs mu or nu")
+        if (self.mu is None) == (self.nu is None):
+            raise ArgumentError("BoundData needs exactly one of mu and nu")
         if self.mu is None and self.method is None:
             raise ArgumentError("nu-based bounds need the method whose contraction rule applies")
 
@@ -287,7 +248,10 @@ class RelaxationMap:
         it when mu(r) < 1, so mu >= 1 raises AssumptionError.  A linear map
         has none.  For a Lipschitz or Holder modulus, omega(r, t) = L t^alpha,
         dividing phi = mu phi + sigma L (lt phi)^(1+alpha) / (1+alpha) by phi
-        gives the root in closed form.  d - id is convex, 0 at 0 and of slope
+        gives the root in closed form.  It saturates outside the float range:
+        an lt^(1+alpha) that overflows gives 0, which ``sum`` refuses for
+        every a > 0, and a denominator that underflows to 0, or a root that
+        overflows, gives None.  d - id is convex, 0 at 0 and of slope
         mu - 1 < 0 there, so it has at most one positive root, which for a
         tabulated modulus solves the quadratic of one segment.
         """
@@ -315,8 +279,14 @@ class RelaxationMap:
             ps = (float(om.ts[i]) + u) / self.lt
         else:
             a = om.alpha
-            ps = ((1.0 - self.mu) * (1.0 + a)
-                  / (self.sigma * om.constant(self.r) * self.lt ** (1.0 + a))) ** (1.0 / a)
+            try:
+                den = self.sigma * om.constant(self.r) * self.lt ** (1.0 + a)
+            except OverflowError:  # lt^(1+a) beyond the float range: saturate to 0
+                return 0.0
+            try:
+                ps = ((1.0 - self.mu) * (1.0 + a) / den) ** (1.0 / a)
+            except (ZeroDivisionError, OverflowError):  # den underflowed, or ps overflows
+                return None
         return ps if math.isfinite(ps) else None
 
     def sum(self, phi: float) -> float:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import majorant
-from .errors import ArgumentError, BreakdownError, DivergenceError
+from .errors import ArgumentError, AssumptionError, BreakdownError, DivergenceError
 # bench/tracer.py wraps norm as a global of this module
 from .spaces import SpaceGeometry, norm, semiscalar
 
@@ -97,10 +97,33 @@ class MethodSpec:
         return _RULES[self.family].minimising
 
     def mu(self, nu: float, sigma: float) -> float:
-        """This rule's contraction factor at acuteness nu, in a space with constant sigma."""
+        """This rule's contraction factor at acuteness nu, in a space with constant sigma.
+
+        A minimising step gives sqrt(1 - nu**2 / sigma), the normalized
+        minimum of ||h||^2 - 2 L [h, Bh] + sigma L^2 ||Bh||^2 over the step
+        scalar L.  A relaxed step gives
+        sqrt(1 - 2/vartheta + sigma / (vartheta**2 * nu**2)), which is below 1
+        only above ``threshold``; at or below it AssumptionError is raised.
+        """
+        if not (0.0 < nu <= 1.0):
+            raise ArgumentError(f"nu must lie in (0, 1], got {nu}")
+        if sigma < 1.0:
+            raise ArgumentError(f"sigma must be >= 1, got {sigma}")
         if self.minimising:
-            return majorant.mu_min_family(nu, sigma)
-        return majorant.mu_altman_family(nu, self.vartheta, sigma)
+            return math.sqrt(max(0.0, 1.0 - nu * nu / sigma))
+        thr = self.threshold(sigma)
+        if nu <= thr:
+            raise AssumptionError(
+                f"relaxed step not certifiable: nu={nu:.6g} <= validity threshold "
+                f"sqrt(sigma/(2*vartheta))={thr:.6g} gives mu >= 1")
+        # above thr, vartheta > 1/2 and the exact radicand is >= (1 - 1/vartheta)^2;
+        # the clamp takes up the few ulps by which rounding can put it below 0
+        vt = self.vartheta
+        return math.sqrt(max(0.0, 1.0 - 2.0 / vt + sigma / (vt * vt * nu * nu)))
+
+    def threshold(self, sigma: float) -> float:
+        """The nu above which this rule contracts: 0, or sqrt(sigma / (2 vartheta)) if relaxed."""
+        return 0.0 if self.minimising else math.sqrt(sigma / (2.0 * self.vartheta))
 
     def check_space(self, space: SpaceGeometry) -> None:
         """Reject a rule with T = f'^T outside Euclidean space, as a typed config error.
@@ -184,7 +207,7 @@ class StopRule:
         if not (self.res_tol > 0.0):
             raise ArgumentError("res_tol must be positive")
         if self.max_iter < 1:
-            raise ArgumentError("max_iter must be >= 1")
+            raise ArgumentError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass

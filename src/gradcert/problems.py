@@ -25,8 +25,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ArgumentError, AssumptionError, ConvergenceError
-from .majorant import BoundData, LipschitzModulus, mu_altman_family, mu_min_family
-from .methods import MethodSpec
+from .majorant import BoundData, LipschitzModulus
+from .methods import ALTMAN_STEEPEST_DESCENT, MIN_RESIDUAL, MethodSpec
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -110,15 +110,16 @@ def _linear_ball_radius(m: float, M: float, a: float, dist_to_solution: float) -
     # large enough that every certifiable vartheta=1 family admits a
     # feasible radius: R >= 2 * lam*theta*a/(1-mu) over those families
     nu_id, nu_adj = _antieigenvalues(m, M)
+    minimising, relaxed = MethodSpec(MIN_RESIDUAL), MethodSpec(ALTMAN_STEEPEST_DESCENT)
     reqs = [dist_to_solution, 1.0]
     try:
-        reqs.append((1.0 / m) * a / (1.0 - mu_min_family(nu_id, 1.0)))
-        reqs.append((M / m**2) * a / (1.0 - mu_min_family(nu_adj, 1.0)))
+        reqs.append((1.0 / m) * a / (1.0 - minimising.mu(nu_id, 1.0)))
+        reqs.append((M / m**2) * a / (1.0 - minimising.mu(nu_adj, 1.0)))
     except ZeroDivisionError:
         raise ArgumentError(f"spread M/m = {M / m:g} too wide: 1 - mu rounds to 0") from None
     for nu, lam_theta in ((nu_id, 1.0 / m), (nu_adj, M / m**2)):
         try:
-            mu = mu_altman_family(nu, 1.0, 1.0)
+            mu = relaxed.mu(nu, 1.0)
             reqs.append(lam_theta * a / (1.0 - mu))
         except AssumptionError:
             pass

@@ -297,24 +297,24 @@ def test_mu_formula_oracles():
             lambda t: 1.0 - 2.0 * t * nu * beta + sigma * (t * beta) ** 2,
             bounds=(0.0, 4.0 / (sigma * beta)), method="bounded",
             options={"xatol": 1e-13})
-        assert gc.mu_min_family(nu, sigma) == pytest.approx(
+        assert gc.MethodSpec(gc.MIN_RESIDUAL).mu(nu, sigma) == pytest.approx(
             math.sqrt(max(0.0, res.fun)), abs=1e-10)
         # relaxed family against direct evaluation of the quadratic form at
         # its step scalar 1/(vartheta nu beta)
-        thr = gc.altman_validity_threshold(vartheta, sigma)
-        if nu > thr:
+        relaxed = gc.MethodSpec(gc.ALTMAN_STEEPEST_DESCENT, vartheta)
+        if nu > relaxed.threshold(sigma):
             t = 1.0 / (vartheta * nu * beta)
             q_val = 1.0 - 2.0 * t * nu * beta + sigma * (t * beta) ** 2
-            assert gc.mu_altman_family(nu, vartheta, sigma) == pytest.approx(
+            assert relaxed.mu(nu, sigma) == pytest.approx(
                 math.sqrt(max(0.0, q_val)), abs=1e-10)
     # the validity boundary is detected exactly, and mu -> 1 approaching it
     for vartheta, sigma in ((1.0, 1.0), (0.8, 1.3), (2.0, 2.0), (1.7, 2.9)):
-        thr = gc.altman_validity_threshold(vartheta, sigma)
+        relaxed = gc.MethodSpec(gc.ALTMAN_STEEPEST_DESCENT, vartheta)
+        thr = relaxed.threshold(sigma)
         if thr <= 1.0:
             with pytest.raises(gc.AssumptionError):
-                gc.mu_altman_family(thr, vartheta, sigma)
-            assert gc.mu_altman_family(thr * (1 + 1e-9), vartheta, sigma) == \
-                pytest.approx(1.0, abs=1e-4)
+                relaxed.mu(thr, sigma)
+            assert relaxed.mu(thr * (1 + 1e-9), sigma) == pytest.approx(1.0, abs=1e-4)
     elapsed = time.perf_counter() - t0
     print(f"ACCEPTANCE contraction-formula oracles: PASS ({elapsed:.2f}s)")
 

@@ -201,6 +201,30 @@ def test_estimate_linear(tmp_path):
     assert rep["derived"]["altman_valid"] is True
 
 
+@pytest.mark.parametrize("space, family, vartheta", [
+    ({"kind": "euclidean"}, "min_residual", 1.0),
+    ({"kind": "euclidean"}, "altman_steepest_descent", 1.4),
+    ({"kind": "sequence_p", "p": 4.0}, "min_residual", 1.0),
+    ({"kind": "sequence_p", "p": 4.0}, "altman_steepest_descent", 1.9)])
+def test_estimate_derived_fields_are_the_contraction_rule(tmp_path, space, family, vartheta):
+    # both rule kinds, the relaxed one at the method's vartheta, through MethodSpec.mu
+    cfg = solve_config(tmp_path, space=space, method={"family": family, "vartheta": vartheta},
+                       bounds={"mode": "estimated",
+                               "plan": {"seed": 5, "n_points": 8, "n_dirs": 64}})
+    assert cli.main(["estimate", "--config", write_config(tmp_path, **cfg),
+                     "--fixed-clock"]) == 0
+    rep = read_report(tmp_path)
+    nu = rep["estimates"]["nu_tilde"]["value"]
+    sigma = gc.SpaceGeometry(space.get("p", 2.0)).sigma
+    relaxed = gc.MethodSpec(gc.ALTMAN_STEEPEST_DESCENT, vartheta)
+    derived = rep["derived"]
+    assert derived["mu_min_family"] == gc.MethodSpec(gc.MIN_RESIDUAL).mu(nu, sigma)
+    assert derived["altman_validity_threshold"] == relaxed.threshold(sigma)
+    assert derived["altman_valid"] is (nu > relaxed.threshold(sigma))
+    assert derived["mu_altman_family"] == (relaxed.mu(nu, sigma) if derived["altman_valid"]
+                                           else None)
+
+
 @pytest.mark.parametrize("family, label", [
     ("min_residual", "exact: T = I"), ("min_co_error", "lower estimate of the supremum")])
 def test_estimate_reports_theta(tmp_path, family, label):
@@ -363,6 +387,18 @@ def test_run_value_of_another_type_is_config_error(tmp_path, capsys, command, ke
         f"config error at run: {key} must be an integer, got {value!r}")
 
 
+@pytest.mark.parametrize("command", ["solve", "certify", "estimate", "verify-space"])
+@pytest.mark.parametrize("value", [-1.0, 0.0, math.nan])
+def test_res_tol_not_positive_is_config_error_for_every_subcommand(tmp_path, capsys,
+                                                                    command, value):
+    # certify and estimate took it and echoed it; only solve built the stop rule
+    cfg = solve_config(tmp_path)
+    cfg["run"]["res_tol"] = value
+    assert cli.main([command, "--config", write_config(tmp_path, **cfg)]) == 1
+    assert capsys.readouterr().err == "config error at run: res_tol must be positive\n"
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("value", ["abc", None, True])
 def test_res_tol_that_is_not_a_number_is_config_error(tmp_path, capsys, value):
     # float() would raise on "abc" and null outside the config check, and run
@@ -419,6 +455,45 @@ def test_max_iter_below_one_is_config_error(tmp_path, capsys, command):
     assert cli.main([command, "--config", write_config(tmp_path, **cfg)]) == 1
     assert capsys.readouterr().err.startswith(
         "config error at run: max_iter must be >= 1, got -3")
+
+
+def test_explicit_mu_and_nu_together_is_config_error(tmp_path, capsys):
+    # the nu was dropped: certify exited 0 with linear_rate 0.5
+    cfg = solve_config(tmp_path, bounds={"mode": "explicit",
+                                         "explicit": {"mu": 0.5, "nu": 0.01}})
+    assert cli.main(["certify", "--config", write_config(tmp_path, **cfg)]) == 1
+    assert capsys.readouterr().err == (
+        "config error at bounds.explicit: BoundData needs exactly one of mu and nu\n")
+
+
+_EXTREME = [(family, key, v) for family in ("lipschitz", "holder") for key in ("lam", "theta")
+            for v in (1e-300, 1e-200, 1e200, 1e300)]
+_EXTREME += [("holder", "L", v) for v in (1e-300, 1e-200)]
+_EXTREME += [("holder", "alpha", v) for v in (1e-300, 1e-200, 1e-20)]
+
+
+@pytest.mark.parametrize("command", ["certify", "solve"])
+@pytest.mark.parametrize("family, key, value", _EXTREME,
+                         ids=[f"{f}-{k}={v:g}" for f, k, v in _EXTREME])
+def test_extreme_explicit_bounds_end_in_a_report_or_an_error_line(tmp_path, capsys, command,
+                                                                  family, key, value):
+    # the closed-form fixed point and the Holder integral raised ZeroDivisionError
+    # or OverflowError, which the CLI printed as a traceback
+    explicit = {"nu": 0.9, "omega": {"family": family, "L": 0.1}}
+    method = {"family": "min_residual"}
+    if family == "holder":
+        explicit["omega"]["alpha"] = 0.5
+        method = {"family": "altman_steepest_descent", "vartheta": 1.5}
+    (explicit["omega"] if key in ("L", "alpha") else explicit)[key] = value
+    cfg = solve_config(tmp_path, problem={"name": "scalar_quad"}, method=method,
+                       bounds={"mode": "explicit", "explicit": explicit})
+    code = cli.main([command, "--config", write_config(tmp_path, **cfg), "--fixed-clock"])
+    err = capsys.readouterr().err
+    if code == 1:
+        assert err.startswith("error: ")
+    else:
+        assert code in (0, 2, 3) and err == ""
+        assert read_report(tmp_path)["exit_status"] == code
 
 
 def test_config_path_that_is_a_directory_is_config_error(tmp_path, capsys):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 
@@ -241,10 +241,50 @@ def test_majorant_sum_against_series_oracle():
 
 # --- contraction-factor formulas ------------------------------------------------
 
+MINIMISING = gc.MethodSpec(gc.MIN_RESIDUAL)
+
+
+def relaxed(vartheta=1.0):
+    return gc.MethodSpec(gc.ALTMAN_STEEPEST_DESCENT, vartheta)
+
+
+# A reference copy of the contraction formulas as they stood in the majorant
+# module, before MethodSpec.mu took them over: every value must keep its bits.
+
+def ref_mu_min_family(nu, sigma):
+    if not (0.0 < nu <= 1.0):
+        raise ArgumentError(f"nu must lie in (0, 1], got {nu}")
+    if sigma < 1.0:
+        raise ArgumentError(f"sigma must be >= 1, got {sigma}")
+    return math.sqrt(max(0.0, 1.0 - nu * nu / sigma))
+
+
+def ref_altman_validity_threshold(vartheta, sigma):
+    return math.sqrt(sigma / (2.0 * vartheta))
+
+
+def ref_mu_altman_family(nu, vartheta, sigma):
+    if not (0.0 < nu <= 1.0):
+        raise ArgumentError(f"nu must lie in (0, 1], got {nu}")
+    if not (0.0 < vartheta <= 2.0):
+        raise ArgumentError(f"vartheta must lie in (0, 2], got {vartheta}")
+    if sigma < 1.0:
+        raise ArgumentError(f"sigma must be >= 1, got {sigma}")
+    thr = ref_altman_validity_threshold(vartheta, sigma)
+    if nu <= thr:
+        raise AssumptionError(
+            f"relaxed step not certifiable: nu={nu:.6g} <= validity threshold "
+            f"sqrt(sigma/(2*vartheta))={thr:.6g} gives mu >= 1")
+    radicand = 1.0 - 2.0 / vartheta + sigma / (vartheta * vartheta * nu * nu)
+    if radicand < -1e-12:
+        raise AssumptionError(f"negative radicand {radicand} in contraction formula")
+    return math.sqrt(max(0.0, radicand))
+
+
 def test_mu_min_family_examples():
-    assert gc.mu_min_family(1.0, 1.0) == 0.0
-    assert gc.mu_min_family(0.6, 1.0) == pytest.approx(0.8, rel=1e-15)
-    assert gc.mu_min_family(0.8, 2.0) == pytest.approx(math.sqrt(0.68), rel=1e-15)
+    assert MINIMISING.mu(1.0, 1.0) == 0.0
+    assert MINIMISING.mu(0.6, 1.0) == pytest.approx(0.8, rel=1e-15)
+    assert MINIMISING.mu(0.8, 2.0) == pytest.approx(math.sqrt(0.68), rel=1e-15)
 
 
 def test_mu_min_family_matches_quadratic_form_oracle():
@@ -253,31 +293,90 @@ def test_mu_min_family_matches_quadratic_form_oracle():
         nu = rng.uniform(0.05, 1.0)
         sigma = rng.uniform(1.0, 3.0)
         beta = rng.uniform(0.1, 10.0)
-        assert gc.mu_min_family(nu, sigma) == pytest.approx(
+        assert MINIMISING.mu(nu, sigma) == pytest.approx(
             oracle_quadratic_min(nu, sigma, beta), abs=1e-10)
 
 
 def test_mu_min_family_rejects_bad_nu():
     with pytest.raises(ArgumentError):
-        gc.mu_min_family(0.0, 1.0)
+        MINIMISING.mu(0.0, 1.0)
     with pytest.raises(ArgumentError):
-        gc.mu_min_family(1.2, 1.0)
+        MINIMISING.mu(1.2, 1.0)
 
 
 def test_mu_altman_family_examples():
-    assert gc.mu_altman_family(1.0, 1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
-    assert gc.mu_altman_family(1.0, 2.0, 1.0) == pytest.approx(0.5, rel=1e-15)
-    assert gc.mu_altman_family(0.8, 1.0, 1.0) == pytest.approx(0.75, rel=1e-12)
+    assert relaxed(1.0).mu(1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
+    assert relaxed(2.0).mu(1.0, 1.0) == pytest.approx(0.5, rel=1e-15)
+    assert relaxed(1.0).mu(0.8, 1.0) == pytest.approx(0.75, rel=1e-12)
 
 
 def test_mu_altman_family_validity_boundary():
     for vartheta, sigma in ((1.0, 1.0), (1.5, 2.0), (0.7, 1.2)):
-        thr = gc.altman_validity_threshold(vartheta, sigma)
+        method = relaxed(vartheta)
+        thr = method.threshold(sigma)
         with pytest.raises(AssumptionError):
-            gc.mu_altman_family(min(thr, 1.0), vartheta, sigma)
+            method.mu(min(thr, 1.0), sigma)
         if thr < 1.0:
-            mu = gc.mu_altman_family(thr * (1.0 + 1e-9), vartheta, sigma)
+            mu = method.mu(thr * (1.0 + 1e-9), sigma)
             assert mu == pytest.approx(1.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("family, vartheta", [
+    (gc.MIN_RESIDUAL, 1.0), (gc.MIN_CO_ERROR, 1.0), (gc.STEEPEST_DESCENT, 1.0),
+    (gc.ALTMAN_STEEPEST_DESCENT, 1.7), (gc.ALTMAN_MIN_ERROR, 0.9),
+    (gc.BANACH_ALTMAN_STEEPEST_DESCENT, 1.3)])
+def test_mu_derivation_is_the_method_contraction_rule(family, vartheta):
+    # one rule: the minimising formula for a minimising step, and the relaxed
+    # one at the method's own vartheta for a relaxed one
+    method = gc.MethodSpec(family, vartheta)
+    b = gc.BoundData(lam=1.0, theta=1.0, omega=gc.LipschitzModulus(0.0), R=1.0,
+                     nu=0.95, method=method)
+    for sigma in (1.0, 1.5):
+        want = (ref_mu_min_family(0.95, sigma) if method.minimising
+                else ref_mu_altman_family(0.95, vartheta, sigma))
+        assert b.mu_at(0.5, sigma) == method.mu(0.95, sigma) == want
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and text of the error it raises."""
+    try:
+        return fn(*args)
+    except (ArgumentError, AssumptionError) as exc:
+        return type(exc), str(exc)
+
+
+def test_method_mu_equals_the_reference_formulas_bit_for_bit():
+    nus = [0.01, 0.1, 0.3, 0.5, 0.5000000001, 0.7071067811865476, 0.7071067811865477,
+           0.75, 0.9, 0.95, 0.999999, 1.0, 0.0, 1.0000001, -0.5]
+    varthetas = [0.1, 0.5, 0.7, 0.9, 1.0, 1.3, 1.5, 1.7, 2.0]
+    for sigma in (1.0, 1.5, 2.0, 3.0, 5.0):
+        assert MINIMISING.threshold(sigma) == 0.0
+        for nu in nus:
+            assert _outcome(MINIMISING.mu, nu, sigma) == _outcome(ref_mu_min_family, nu, sigma)
+            for vartheta in varthetas:
+                method = relaxed(vartheta)
+                assert method.threshold(sigma) == ref_altman_validity_threshold(vartheta, sigma)
+                assert (_outcome(method.mu, nu, sigma)
+                        == _outcome(ref_mu_altman_family, nu, vartheta, sigma))
+    with pytest.raises(ArgumentError, match="sigma must be >= 1"):
+        relaxed(1.0).mu(0.9, 0.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=st.floats(0.0, 1.0), vartheta=st.floats(0.5, 2.0), sigma=st.floats(1.0, 4.0))
+@example(u=1.0, vartheta=1.0 - 2.0 ** -53, sigma=1.0)  # computed radicand -2**-52
+def test_relaxed_radicand_is_nonnegative_above_the_threshold(u, vartheta, sigma):
+    # above the threshold, nu <= 1 <= sigma gives vartheta > 1/2, the exact
+    # radicand is at least (1 - 1/vartheta)^2 >= 0, and each term is at most 4:
+    # the computed one lies at most a few ulps below 0, which the formula's
+    # clamp at 0 absorbs, and far above the -1e-12 an error once guarded
+    method = relaxed(vartheta)
+    thr = method.threshold(sigma)
+    assume(thr < 1.0)
+    nu = min(1.0, max(math.nextafter(thr, 2.0), thr + u * (1.0 - thr)))
+    radicand = 1.0 - 2.0 / vartheta + sigma / (vartheta * vartheta * nu * nu)
+    assert radicand >= -16.0 * np.finfo(float).eps
+    assert method.mu(nu, sigma) == math.sqrt(max(0.0, radicand))
 
 
 # --- certificates ---------------------------------------------------------------
@@ -472,6 +571,13 @@ def test_bound_data_requires_mu_or_nu():
     gc.BoundData(lam=1.0, theta=1.0, omega=gc.LipschitzModulus(0.0), R=1.0, mu=0.5)
 
 
+def test_bound_data_refuses_both_mu_and_nu():
+    # a nu given next to mu was dropped without a word
+    with pytest.raises(ArgumentError, match="exactly one of mu and nu"):
+        gc.BoundData(lam=1.0, theta=1.0, omega=gc.LipschitzModulus(0.0), R=1.0, mu=0.5,
+                     nu=0.01, method=gc.MethodSpec(gc.MIN_RESIDUAL))
+
+
 def _bounds(lam=1.0, theta=1.0, omega=0.0, **mu_nu):
     """BoundData on R = 1: constants, but for the fields given; omega a modulus or a Lipschitz L."""
     mu_nu = mu_nu or {"mu": 0.5}
@@ -555,22 +661,6 @@ def test_mu_derivation_uses_sigma():
                      nu=0.8, method=gc.MethodSpec(gc.MIN_RESIDUAL))
     assert b.mu_at(0.5, 1.0) == pytest.approx(0.6, rel=1e-12)
     assert b.mu_at(0.5, 2.0) == pytest.approx(math.sqrt(1 - 0.32), rel=1e-12)
-
-
-@pytest.mark.parametrize("family, vartheta", [
-    (gc.MIN_RESIDUAL, 1.0), (gc.MIN_CO_ERROR, 1.0), (gc.STEEPEST_DESCENT, 1.0),
-    (gc.ALTMAN_STEEPEST_DESCENT, 1.7), (gc.ALTMAN_MIN_ERROR, 0.9),
-    (gc.BANACH_ALTMAN_STEEPEST_DESCENT, 1.3)])
-def test_mu_derivation_is_the_method_contraction_rule(family, vartheta):
-    # one rule: mu_min_family for a minimising step, and mu_altman_family at the
-    # method's own vartheta for a relaxed one
-    method = gc.MethodSpec(family, vartheta)
-    b = gc.BoundData(lam=1.0, theta=1.0, omega=gc.LipschitzModulus(0.0), R=1.0,
-                     nu=0.95, method=method)
-    for sigma in (1.0, 1.5):
-        want = (gc.mu_min_family(0.95, sigma) if method.minimising
-                else gc.mu_altman_family(0.95, vartheta, sigma))
-        assert b.mu_at(0.5, sigma) == method.mu(0.95, sigma) == want
 
 
 # --- upper-bounding series and closed-form fixed points -----------------------------
@@ -659,6 +749,35 @@ def test_tabulated_fixed_point_none_when_the_last_slope_cannot_catch_up():
     # past the last node d - id has slope sigma * 0.1 * lt + mu - 1 < 0
     d = _map(gc.TabulatedModulus([0.0, 1.0], [0.0, 0.1]), 0.5, 1.0, 1.0)
     assert d.phi_star is None
+
+
+@pytest.mark.parametrize("omega, lt, want", [
+    (gc.LipschitzModulus(0.1), 1e200, 0.0),  # lt^2 overflows: saturates to 0
+    (gc.LipschitzModulus(0.1), 1e300, 0.0),
+    (gc.HolderModulus(0.1, 0.5), 1e300, 0.0),
+    (gc.LipschitzModulus(0.1), 1e-200, None),  # the denominator underflows to 0
+    (gc.HolderModulus(0.1, 0.5), 1e-300, None),
+    (gc.HolderModulus(0.1, 0.5), 1e-200, None),  # the root overflows
+    (gc.HolderModulus(1e-300, 0.5), 1.0, None),
+    (gc.HolderModulus(0.1, 1e-20), 1.0, None),
+])
+def test_closed_form_fixed_point_saturates_outside_the_float_range(omega, lt, want):
+    # these raised ZeroDivisionError or OverflowError out of phi_star
+    d = _map(omega, 0.5, lt, 1.0)
+    assert d.phi_star == want if want is not None else d.phi_star is None
+    if want == 0.0:  # the series refuses every a > 0
+        with pytest.raises(DivergenceError, match="fixed point 0"):
+            d.sum(1e-300)
+    else:
+        assert 1e-3 <= d.sum(1e-3) < math.inf
+
+
+def test_holder_integral_beyond_the_float_range_is_inf():
+    # Python's float ** raised OverflowError here
+    om = gc.HolderModulus(0.1, 0.5)
+    assert om.integral(0.0, 1e300) == math.inf
+    assert _map(om, 0.5, 1e300, 1.0)(1.0) == math.inf
+    assert om.integral(0.0, 4.0) == 0.1 * 4.0 ** 1.5 / 1.5  # unchanged in range
 
 
 def _count_integral_calls(monkeypatch, omega):
